@@ -21,8 +21,8 @@ namespace nvfs::bench {
 
 /**
  * The paper's NVRAM size sweep (Fig 3-4 x-axis), in MB.  Shared by
- * the figure benches and the curve-engine wiring so the single-pass
- * engine and the per-size grid provably sweep the same points.
+ * the figure benches so fig3's LRU baseline and fig4's LRU column
+ * sweep the same points.
  */
 inline constexpr double kNvramSizeGrid[] = {0.03125, 0.0625, 0.125,
                                             0.25,    0.5,    1,

@@ -5,8 +5,7 @@
  * furthest in the future), for each trace and a sweep of NVRAM sizes.
  * Unified model, 8 MB volatile cache.  An LRU baseline table gives
  * the realistic-policy reference the omniscient numbers beat; the
- * LRU sweep runs through the single-pass curve engine (one replay
- * per trace for all ten sizes).
+ * LRU sweep is one per-size curve sweep per trace.
  */
 
 #include "bench_util.hpp"
@@ -32,9 +31,7 @@ main()
     util::TextTable table(std::move(headers));
 
     // Warm the per-trace memoized caches serially, then fan the whole
-    // (size x trace) grid out across the workers.  The omniscient
-    // policy breaks the inclusion property, so this sweep stays on
-    // the per-size grid.
+    // (size x trace) grid out across the workers.
     for (int t = 1; t <= 8; ++t) {
         core::standardOps(t, scale);
         core::standardOracle(t, scale);
@@ -68,7 +65,7 @@ main()
     std::printf("%s\n", table.render("net write traffic (%)").c_str());
 
     // LRU baseline: the same sweep under the realistic policy, one
-    // single-pass curve replay per trace.
+    // curve sweep (a replay per size) per trace.
     std::vector<std::string> lru_headers = {"NVRAM (MB)"};
     for (int t = 1; t <= 8; ++t)
         lru_headers.push_back("trace " + std::to_string(t));

@@ -4,9 +4,8 @@
  * LRU, random, and omniscient NVRAM replacement on Trace 7, across
  * NVRAM sizes (unified model, 8 MB volatile cache).  Clock is added
  * as an extra realistic policy beyond the paper's set.  The LRU
- * series runs through the single-pass curve engine (one replay for
- * all ten sizes); the other policies break the inclusion property
- * and stay on the per-size grid.
+ * series is one curve sweep; the other policies share one model
+ * grid.
  */
 
 #include "bench_util.hpp"

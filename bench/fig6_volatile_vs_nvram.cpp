@@ -4,9 +4,8 @@
  * volatile and unified models starting from 8 MB and from 16 MB of
  * volatile cache, as memory is added (volatile memory for the
  * volatile model, NVRAM for the unified model) — the input to the
- * Section 2.7 cost-effectiveness argument.  All four series are
- * LRU-managed size sweeps, so each one is a single curve-engine
- * replay instead of seven independent simulations.
+ * Section 2.7 cost-effectiveness argument.  Each of the four series
+ * is one curve sweep over the seven extra-memory sizes.
  */
 
 #include "bench_util.hpp"

@@ -306,49 +306,6 @@ BENCHMARK(BM_ReplayGrid)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void
-BM_CurveSweep(benchmark::State &state)
-{
-    // The multi-size sweep both ways: curve=1 is one single-pass
-    // replay classifying every event against all sizes at once;
-    // curve=0 is the per-size replay grid pinned to one worker.  The
-    // grid:curve time ratio at equal (single-threaded) width is the
-    // curve_speedups entry in BENCH_e2e.json.  axis=1 sweeps NVRAM
-    // sizes under the unified model (the Fig 3-4 grid); axis=0 sweeps
-    // volatile cache sizes (the Fig 6 volatile series).
-    const bool nvram_axis = state.range(0) != 0;
-    const bool curve = state.range(1) != 0;
-    const auto &ops = core::standardOps(7, core::benchScale());
-    core::CurveSpec spec;
-    if (nvram_axis) {
-        spec.base.kind = core::ModelKind::Unified;
-        spec.base.volatileBytes = 8 * kMiB;
-        spec.axis = core::CurveAxis::NvramBytes;
-        spec.sizes = bench::nvramSizeGridBytes();
-    } else {
-        spec.base.kind = core::ModelKind::Volatile;
-        spec.axis = core::CurveAxis::VolatileBytes;
-        for (const double extra : {0.0, 0.5, 1.0, 2.0, 4.0, 6.0, 8.0})
-            spec.sizes.push_back(
-                8 * kMiB + static_cast<Bytes>(extra * kMiB));
-    }
-    for (auto _ : state) {
-        const auto rows =
-            curve ? core::runCurveSim(ops, spec)
-                  : core::runClientGrid(ops, core::curveGridModels(spec),
-                                        spec.seed, 1);
-        benchmark::DoNotOptimize(rows.front().appWriteBytes);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(spec.sizes.size()));
-}
-BENCHMARK(BM_CurveSweep)
-    ->ArgNames({"nvram", "curve"})
-    ->Args({0, 0})->Args({0, 1})
-    ->Args({1, 0})->Args({1, 1})
-    ->Unit(benchmark::kMillisecond);
-
 /** Trace file on disk for the ingest/pipeline benches, written once. */
 const std::string &
 benchTracePath(int trace, bool text)

@@ -19,8 +19,7 @@ buildCurve(const core::SweepRunner &runner, const prep::OpStream &ops,
            core::ModelKind kind, Bytes base,
            const std::vector<double> &extras_mb)
 {
-    // Both Figure 6 curves are LRU-managed size sweeps, so each one
-    // is a single curve-engine replay over all its points.
+    // Both Figure 6 curves are size sweeps: one curve sweep each.
     core::CurveSpec spec;
     spec.base.kind = kind;
     if (kind == core::ModelKind::Volatile) {

@@ -4,12 +4,11 @@
 Runs ``perf_microbench`` with google-benchmark's JSON reporter and
 normalizes the result into compact {benchmark: {real_time_ns, ...}}
 summaries.  The whole-trace macrobenchmarks — BM_ClusterSimReplay,
-the pipelined BM_PipelineSweep, the BM_ReplayGrid scheduler, and the
-BM_CurveSweep size-sweep pairs — go to BENCH_e2e.json, which
-additionally pairs each extent-engine run with its legacy-engine twin
-(each multi-job pipeline/grid run with its jobs:1 baseline, and each
-single-pass curve sweep with its per-size grid twin) and records the
-speedup ratios in both real and cpu time, plus host metadata
+the pipelined BM_PipelineSweep and the BM_ReplayGrid scheduler — go
+to BENCH_e2e.json, which additionally pairs each extent-engine run
+with its legacy-engine twin (and each multi-job pipeline/grid run
+with its jobs:1 baseline) and records the speedup ratios in both real
+and cpu time, plus host metadata
 (hardware_concurrency, NVFS_JOBS / NVFS_GRID_JOBS); everything else
 goes to BENCH_microbench.json so CI can archive a perf snapshot per
 commit.  With ``--baseline
@@ -40,21 +39,14 @@ import sys
 import tempfile
 
 E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_PipelineSweep",
-                "BM_ReplayGrid", "BM_CurveSweep")
+                "BM_ReplayGrid")
 E2E_NAME = re.compile(
     r"^BM_ClusterSimReplay/trace:(\d+)/model:(\d+)/engine:(\d+)$")
 PIPELINE_NAME = re.compile(
     r"^BM_PipelineSweep/jobs:(\d+)(?:/real_time)?$")
 GRID_NAME = re.compile(
     r"^BM_ReplayGrid/jobs:(\d+)(?:/real_time)?$")
-CURVE_NAME = re.compile(
-    r"^BM_CurveSweep/nvram:(\d+)/curve:(\d+)$")
 MODEL_NAMES = {0: "volatile", 1: "write-aside", 2: "unified"}
-CURVE_AXIS_NAMES = {0: "volatile_axis", 1: "nvram_axis"}
-
-# The single-pass curve engine must beat the per-size grid by at least
-# this factor single-threaded; the CI gate fails a run below the floor.
-CURVE_SPEEDUP_FLOOR = 1.5
 
 
 def is_e2e(name):
@@ -243,33 +235,6 @@ def add_speedups(e2e):
         e2e, PIPELINE_NAME, "serial_ms", "pipelined_ms")
     e2e["grid_speedups"] = _jobs_speedups(
         e2e, GRID_NAME, "serial_ms", "grid_ms")
-
-    # Single-pass curve engine vs the per-size grid, per sweep axis.
-    # Both runs are single-threaded (width=1 grid baseline), so the
-    # ratio is the pure algorithmic win of the multi-size replay.
-    curve_times = {}
-    for name, entry in e2e["benchmarks"].items():
-        match = CURVE_NAME.match(name)
-        if match and entry.get("real_time_ns"):
-            axis, curve = (int(g) for g in match.groups())
-            curve_times[(axis, curve)] = (
-                entry["real_time_ns"], entry.get("cpu_time_ns"))
-    curve_speedups = {}
-    for axis, key in sorted(CURVE_AXIS_NAMES.items()):
-        grid = curve_times.get((axis, 0))
-        curve = curve_times.get((axis, 1))
-        if not grid or not curve or not grid[0] or not curve[0]:
-            continue
-        curve_speedups[key] = {
-            "grid_ms": grid[0] / 1e6,
-            "curve_ms": curve[0] / 1e6,
-            "speedup": grid[0] / curve[0],
-        }
-        if grid[1] and curve[1]:
-            curve_speedups[key]["grid_cpu_ms"] = grid[1] / 1e6
-            curve_speedups[key]["curve_cpu_ms"] = curve[1] / 1e6
-            curve_speedups[key]["cpu_speedup"] = grid[1] / curve[1]
-    e2e["curve_speedups"] = curve_speedups
     return e2e
 
 
@@ -289,28 +254,6 @@ def host_metadata(raw):
             "NVFS_GRID_JOBS": os.environ.get("NVFS_GRID_JOBS"),
         },
     }
-
-
-def check_curve_floor(e2e, max_ratio):
-    """The curve engine must keep beating the grid.
-
-    Part of the ``--e2e-max-regression`` gate: a curve_speedups entry
-    whose real-time speedup falls below CURVE_SPEEDUP_FLOOR means the
-    single-pass engine lost its reason to exist, which no baseline
-    diff would catch if both sides slowed down together.
-    """
-    if max_ratio is None:
-        return []
-    failed = []
-    for key, entry in sorted(e2e.get("curve_speedups", {}).items()):
-        if entry["speedup"] < CURVE_SPEEDUP_FLOOR:
-            failed.append((key, entry["speedup"]))
-            print(f"REGRESSION: curve engine speedup on {key} is "
-                  f"{entry['speedup']:.2f}x, below the "
-                  f"{CURVE_SPEEDUP_FLOOR:.1f}x floor "
-                  f"({entry['grid_ms']:.1f}ms grid vs "
-                  f"{entry['curve_ms']:.1f}ms curve)", file=sys.stderr)
-    return failed
 
 
 def load_e2e_baseline(baseline_path):
@@ -532,19 +475,9 @@ def main():
             print(f"  grid {key}: {entry['serial_ms']:.1f}ms -> "
                   f"{entry['grid_ms']:.1f}ms "
                   f"({entry['speedup']:.2f}x)")
-        for key, entry in sorted(e2e["curve_speedups"].items()):
-            cpu_s = (f", cpu {entry['cpu_speedup']:.2f}x"
-                     if "cpu_speedup" in entry else "")
-            print(f"  curve {key}: {entry['grid_ms']:.1f}ms -> "
-                  f"{entry['curve_ms']:.1f}ms "
-                  f"({entry['speedup']:.2f}x{cpu_s})")
-        failed = check_curve_floor(e2e, args.e2e_max_regression)
-        if e2e_baseline is not None:
-            failed += check_e2e_regressions(e2e, e2e_baseline,
-                                            args.e2e_baseline,
-                                            args.e2e_warn_regression,
-                                            args.e2e_max_regression)
-        if failed:
+        if e2e_baseline is not None and check_e2e_regressions(
+                e2e, e2e_baseline, args.e2e_baseline,
+                args.e2e_warn_regression, args.e2e_max_regression):
             raise SystemExit(1)
 
     if args.baseline:

@@ -1,26 +1,13 @@
 /**
  * @file
- * CurveSim: the single-pass multi-size curve engine behind the
- * NVRAM-size sweeps (Figures 3-6, cost-effectiveness table).
+ * CurveSpec: the multi-size sweeps behind the NVRAM-size curves
+ * (Figures 3-6, cost-effectiveness table).
  *
- * Every headline figure of the paper is a curve over cache size, and
- * a per-size replay re-simulates the same op stream once per point.
- * For LRU-managed memories the inclusion property holds: the resident
- * set of a smaller cache is always a subset of a larger one's, so a
- * single replay that maintains one global recency order (a Mattson
- * stack, indexed by util::OrderStatIndex) can classify every event —
- * absorption, eviction write-back, callback recall, 30 s sync flush —
- * against *all* configured sizes at once by threshold comparison, and
- * accumulate a full Metrics vector per size in one pass.
- *
- * Results are bit-identical to running the per-size replay grid
- * (core::runClientGrid) point by point; the curve_sim_test
- * differential matrix enforces this over all eight paper traces.
- * Configurations whose semantics break the inclusion property —
- * write-aside mirroring, random/clock/omniscient NVRAM policies,
- * dirty-preferring replacement, dynamic cache sizing, end-to-end
- * sinks — automatically fall back to the per-size grid, and
- * NVFS_CURVE_ENGINE=off forces the fallback everywhere.
+ * Every headline figure of the paper is a curve over cache size.  A
+ * CurveSpec names the shared configuration, the swept field and the
+ * sizes; SweepRunner::runCurveSweep replays it as the per-size grid
+ * (curveGridModels + runClientGrid), one task per size, so the sizes
+ * spread across the worker pool.
  */
 
 #pragma once
@@ -28,7 +15,6 @@
 #include <vector>
 
 #include "core/client/client_model.hpp"
-#include "prep/ops.hpp"
 
 namespace nvfs::core {
 
@@ -48,42 +34,20 @@ struct CurveSpec
     /** Swept sizes in bytes, one Metrics row each (any order). */
     std::vector<Bytes> sizes;
     std::uint64_t seed = 42;
-    /** nvfs::check cadence; 0 = NVFS_AUDIT env (ClusterSim rule). */
-    std::uint64_t auditEvery = 0;
 };
 
-/** Most sizes one curve pass can carry (per-slot residency masks). */
-constexpr std::size_t kCurveMaxSizes = 32;
-
 /**
- * NVFS_CURVE_ENGINE: "on"/unset enables the single-pass engine where
- * supported, "off" forces the per-size replay grid everywhere.
- * Anything else warns once (naming the variable) and stays on.
+ * Always false.  Size sweeps have one implementation, the per-size
+ * replay grid; this is kept only so run manifests that record a
+ * "curve_engine" switch still have a value to print.
  */
 bool curveEngineEnabled();
 
 /**
- * True when the single-pass engine reproduces this spec exactly: the
- * swept memory is LRU-managed (inclusion property), every size holds
- * at least one block, at most kCurveMaxSizes sizes, and no
- * per-replay side channel (sink) or inclusion-breaking ablation
- * (dirty preference, dynamic sizing) is configured.
- */
-bool curveSupported(const CurveSpec &spec);
-
-/**
  * The per-size model grid equivalent to `spec`: one ModelConfig per
- * size with the swept field substituted.  This is both the fallback
- * path and the differential-test oracle.
+ * size, in spec.sizes order, with the swept field substituted and
+ * every other field copied from spec.base.
  */
 std::vector<ModelConfig> curveGridModels(const CurveSpec &spec);
-
-/**
- * Run the single-pass engine: one replay of `ops`, one Metrics row
- * per spec.sizes entry (in order).  Requires curveSupported(spec).
- * Bit-identical to runClientGrid(ops, curveGridModels(spec), seed).
- */
-std::vector<Metrics> runCurveSim(const prep::OpStream &ops,
-                                 const CurveSpec &spec);
 
 } // namespace nvfs::core

@@ -54,9 +54,6 @@ std::vector<Metrics>
 SweepRunner::runCurveSweep(const prep::OpStream &ops,
                            const CurveSpec &spec) const
 {
-    if (curveEngineEnabled() && curveSupported(spec))
-        return runCurveSim(ops, spec);
-    // Per-size fallback: the exact grid the curve engine replaces.
     return runClientGrid(ops, curveGridModels(spec), spec.seed,
                          jobs_);
 }

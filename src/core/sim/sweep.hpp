@@ -223,12 +223,8 @@ class SweepRunner
 
     /**
      * Multi-size curve sweep: one Metrics row per spec.sizes entry,
-     * in order.  Uses the single-pass CurveSim engine when the spec
-     * supports it (LRU-managed sizes, no inclusion-breaking ablation)
-     * and NVFS_CURVE_ENGINE is not "off"; otherwise falls back to
-     * the per-size replay grid (curveGridModels + runClientGrid).
-     * Both paths are bit-identical by construction and by the
-     * curve_sim_test differential matrix.
+     * in order.  The per-size replay grid (curveGridModels +
+     * runClientGrid) at this runner's width.
      */
     std::vector<Metrics>
     runCurveSweep(const prep::OpStream &ops,

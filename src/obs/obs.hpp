@@ -149,11 +149,16 @@ struct Slab
 class Registry
 {
   public:
+    /**
+     * Never destroyed: pool workers' thread-local SlabHandles detach
+     * from it while the process exits, after function-local statics
+     * have already been torn down.
+     */
     static Registry &
     instance()
     {
-        static Registry registry;
-        return registry;
+        static Registry *registry = new Registry;
+        return *registry;
     }
 
     /**

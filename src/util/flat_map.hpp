@@ -136,8 +136,9 @@ class FlatMap
             dist += 16;
         }
         // Fewer than 16 bytes before the table's end: finish the probe
-        // scalar, wrapping as usual.
-        return scalarProbe(key, pos, dist);
+        // scalar, wrapping as usual.  A group scan that ends exactly at
+        // the end leaves pos == capacity(), which wraps to slot 0.
+        return scalarProbe(key, pos & mask, dist);
 #else
         return findScalar(key);
 #endif

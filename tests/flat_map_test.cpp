@@ -334,6 +334,42 @@ TEST(FlatMapTest, SimdFindMatchesScalarOnLongProbeChains)
     }
 }
 
+TEST(FlatMapTest, SimdFindMatchesScalarFromEveryHomeSlot)
+{
+    // A 40-key chain homed at each slot in turn.  Chains homed 16 or
+    // 32 slots before the end make the group scan stop exactly at the
+    // table's end, so the scalar tail must resume at slot 0 rather
+    // than read the metadata byte one past the array.
+    for (const std::uint64_t cap : {64u, 256u}) {
+        constexpr std::uint64_t kChain = 40;
+        for (std::uint64_t home = 0; home < cap; ++home) {
+            util::FlatMap<std::uint64_t, std::uint64_t, IdentityHash>
+                map;
+            map.reserve(cap * 7 / 8); // capacity exactly `cap`
+            for (std::uint64_t i = 0; i < kChain; ++i)
+                map.insertOrAssign(home + i * cap, i);
+            for (std::uint64_t i = 0; i < kChain + 4; ++i) {
+                const std::uint64_t key = home + i * cap;
+                ASSERT_EQ(map.find(key), map.findScalar(key))
+                    << "cap " << cap << " home " << home << " key "
+                    << key;
+                if (i < kChain) {
+                    ASSERT_NE(map.find(key), nullptr)
+                        << "cap " << cap << " home " << home
+                        << " key " << key;
+                }
+                // A key homed just past the chain's start probes
+                // through the tail of it.
+                const std::uint64_t neighbour = key + 1;
+                ASSERT_EQ(map.find(neighbour),
+                          map.findScalar(neighbour))
+                    << "cap " << cap << " home " << home << " key "
+                    << neighbour;
+            }
+        }
+    }
+}
+
 TEST(FlatMapTest, ReserveAvoidsMidwayGrowth)
 {
     Map map;

@@ -618,5 +618,81 @@ TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
     }
 }
 
+TEST(SweepRunner, CurveSweepIsThePerSizeGrid)
+{
+    // curveGridModels substitutes only the swept field, in spec.sizes
+    // order (unsorted sizes included), and runCurveSweep returns one
+    // row per size in that order: the grid's row for that model.
+    const cache::NextModifyOracle *const oracle =
+        &standardOracle(3, kScale);
+    ModelConfig base;
+    base.nvramPolicy = cache::PolicyKind::Clock;
+    base.oracle = oracle;
+    base.writeBackAge = 20 * kUsPerSecond;
+    base.sweepInterval = 3 * kUsPerSecond;
+    base.dirtyPreference = true;
+    base.dynamicSizing = true;
+    base.dynamicMinFraction = 0.25;
+    base.dynamicPeriod = 7 * kUsPerMinute;
+    base.extentOps = !defaultExtentEngine();
+    const std::vector<Bytes> sizes = {2 * kMiB, 256 * kKiB, kMiB,
+                                      12 * kBlockSize};
+
+    for (const auto axis : {CurveAxis::VolatileBytes,
+                            CurveAxis::NvramBytes}) {
+        CurveSpec spec;
+        spec.base = base;
+        spec.base.kind = axis == CurveAxis::VolatileBytes
+                             ? ModelKind::Volatile
+                             : ModelKind::Unified;
+        spec.base.volatileBytes = 3 * kMiB;
+        spec.base.nvramBytes = 5 * kMiB;
+        spec.axis = axis;
+        spec.sizes = sizes;
+        const auto models = curveGridModels(spec);
+        ASSERT_EQ(models.size(), sizes.size());
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+            const ModelConfig &m = models[k];
+            if (axis == CurveAxis::VolatileBytes) {
+                EXPECT_EQ(m.volatileBytes, sizes[k]);
+                EXPECT_EQ(m.nvramBytes, spec.base.nvramBytes);
+            } else {
+                EXPECT_EQ(m.volatileBytes, spec.base.volatileBytes);
+                EXPECT_EQ(m.nvramBytes, sizes[k]);
+            }
+            EXPECT_EQ(m.kind, spec.base.kind);
+            EXPECT_EQ(m.nvramPolicy, base.nvramPolicy);
+            EXPECT_EQ(m.oracle, oracle);
+            EXPECT_EQ(m.writeBackAge, base.writeBackAge);
+            EXPECT_EQ(m.sweepInterval, base.sweepInterval);
+            EXPECT_EQ(m.dirtyPreference, base.dirtyPreference);
+            EXPECT_EQ(m.sink, base.sink);
+            EXPECT_EQ(m.dynamicSizing, base.dynamicSizing);
+            EXPECT_EQ(m.dynamicMinFraction, base.dynamicMinFraction);
+            EXPECT_EQ(m.dynamicPeriod, base.dynamicPeriod);
+            EXPECT_EQ(m.extentOps, base.extentOps);
+        }
+    }
+
+    // Rows: a plain LRU curve in unsorted size order, per size.
+    const auto &ops = standardOps(3, kScale);
+    CurveSpec spec;
+    spec.base.kind = ModelKind::Unified;
+    spec.base.volatileBytes = kMiB;
+    spec.axis = CurveAxis::NvramBytes;
+    spec.sizes = sizes;
+    spec.seed = 7;
+    for (const unsigned jobs : {1u, 4u}) {
+        const auto rows = SweepRunner(jobs).runCurveSweep(ops, spec);
+        ASSERT_EQ(rows.size(), sizes.size());
+        for (std::size_t k = 0; k < sizes.size(); ++k) {
+            ModelConfig model = spec.base;
+            model.nvramBytes = sizes[k];
+            EXPECT_EQ(rows[k], runClientSim(ops, model, spec.seed))
+                << "size " << sizes[k] << " at " << jobs << " jobs";
+        }
+    }
+}
+
 } // namespace
 } // namespace nvfs::core
