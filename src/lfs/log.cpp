@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "nvram/crash_site.hpp"
-#include "nvram/fault.hpp"
 #include "obs/obs.hpp"
 #include "util/audit.hpp"
 #include "util/log.hpp"
@@ -57,6 +55,24 @@ LfsLog::killAddress(const SegmentAddress &address)
     }
 }
 
+nvram::CrashAction
+LfsLog::crashAt(nvram::CrashSiteKind kind, std::uint64_t detail)
+{
+    return crashHook_ == nullptr
+               ? nvram::CrashAction::None
+               : crashHook_->onSite(kind, detail, this);
+}
+
+void
+LfsLog::dropOpenSegment()
+{
+    pending_.clear();
+    pendingIndex_.clear();
+    pendingFiles_.clear();
+    pendingData_ = 0;
+    pendingJournal_.clear();
+}
+
 void
 LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
                        Bytes end, bool cleaner)
@@ -64,17 +80,11 @@ LfsLog::appendInternal(FileId file, std::uint32_t block, Bytes begin,
     NVFS_REQUIRE(begin < end && end <= config_.blockBytes,
                  "block write range out of range");
 
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::JournalAppend,
-                                   file, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            // The write dies in volatile memory before reaching the
-            // open segment; nothing durable ever names it.
-            return;
-          default:
-            break;
-        }
+    if (crashAt(nvram::CrashSiteKind::JournalAppend, file) !=
+        nvram::CrashAction::None) {
+        // The write dies in volatile memory before reaching the open
+        // segment; nothing durable ever names it.
+        return;
     }
 
     // Rewriting a block already in the open segment unions the dirty
@@ -155,69 +165,34 @@ LfsLog::seal(SealCause cause)
         return false;
     }
 
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::SealBegin, 0,
-                                   this)) {
-          case nvram::CrashAction::PowerFail:
-            // Power died before the write began: the disk is untouched
-            // and the open segment's volatile contents are gone.
-            pending_.clear();
-            pendingIndex_.clear();
-            pendingFiles_.clear();
-            pendingData_ = 0;
-            pendingJournal_.clear();
-            return false;
-          case nvram::CrashAction::Dead:
-            // The host is already down; the write is never issued.
-            return false;
-          default:
-            break;
-        }
-    }
-
-    nvram::SealFault fault = nvram::SealFault::None;
-    if (faults_ != nullptr)
-        fault = faults_->onSeal();
-    if (fault == nvram::SealFault::PowerFail) {
+    const nvram::CrashAction begin =
+        crashAt(nvram::CrashSiteKind::SealBegin, 0);
+    if (begin == nvram::CrashAction::PowerFail) {
         // Power died before the write began: the disk is untouched
         // and the open segment's volatile contents are gone.
-        faultFired_ = true;
-        pending_.clear();
-        pendingIndex_.clear();
-        pendingFiles_.clear();
-        pendingData_ = 0;
-        pendingJournal_.clear();
+        dropOpenSegment();
         return false;
     }
+    if (begin == nvram::CrashAction::Dead)
+        return false; // the host is already down; never issued
 
     Segment segment;
     segment.id = static_cast<std::uint32_t>(segments_.size());
     segment.cause = cause;
-    if (fault == nvram::SealFault::Torn) {
-        // The write is issued and the in-memory state proceeds as if
-        // it succeeded — the pre-crash host cannot tell — but the
-        // summary block never hits the disk, so recovery will treat
-        // the log as ending at this segment.
-        segment.torn = true;
-        faultFired_ = true;
-    }
+    // A torn write (a FaultPlan's torn seal) is issued and the
+    // in-memory state proceeds as if it succeeded — the pre-crash
+    // host cannot tell — but the summary block never hits the disk,
+    // so recovery will treat the log as ending at this segment.
+    segment.torn = begin == nvram::CrashAction::Torn;
 
     for (const PendingBlock &pb : pending_) {
-        if (crashHook_ != nullptr) {
-            switch (crashHook_->onSite(
-                nvram::CrashSiteKind::InodeUpdate, pb.file, this)) {
-              case nvram::CrashAction::Torn:
-              case nvram::CrashAction::Dead:
-                // Crash mid-seal: some prefix of the data is on disk
-                // but the summary never follows.  The in-memory image
-                // still completes (recovery never parses a torn
-                // segment, so its exact contents are moot).
-                segment.torn = true;
-                break;
-              default:
-                break;
-            }
-        }
+        // Crash mid-seal: some prefix of the data is on disk but the
+        // summary never follows.  The in-memory image still completes
+        // (recovery never parses a torn segment, so its exact
+        // contents are moot).
+        if (crashAt(nvram::CrashSiteKind::InodeUpdate, pb.file) !=
+            nvram::CrashAction::None)
+            segment.torn = true;
         const SegmentAddress address{
             segment.id, static_cast<std::uint32_t>(
                             segment.entries.size())};
@@ -282,43 +257,24 @@ LfsLog::seal(SealCause cause)
     // summary block); recovery replays it in order.
     journals_.resize(segments_.size() + 1);
     journals_[segment.id] = std::move(pendingJournal_);
-    pendingJournal_.clear();
 
     activeIds_.insert(segment.id);
     segments_.push_back(std::move(segment));
-    pending_.clear();
-    pendingIndex_.clear();
-    pendingFiles_.clear();
-    pendingData_ = 0;
+    dropOpenSegment();
 
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::SealCommit,
-                                   segments_.back().id, this)) {
-          case nvram::CrashAction::Torn:
-          case nvram::CrashAction::Dead:
-            // The summary block itself never reached the disk.
-            segments_.back().torn = true;
-            break;
-          default:
-            break;
-        }
-    }
+    // The summary block itself may never reach the disk.
+    if (crashAt(nvram::CrashSiteKind::SealCommit, segments_.back().id) !=
+        nvram::CrashAction::None)
+        segments_.back().torn = true;
     return true;
 }
 
 void
 LfsLog::deleteFile(FileId file)
 {
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::JournalAppend,
-                                   file, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            return; // the delete dies in volatile memory
-          default:
-            break;
-        }
-    }
+    if (crashAt(nvram::CrashSiteKind::JournalAppend, file) !=
+        nvram::CrashAction::None)
+        return; // the delete dies in volatile memory
     // Drop pending blocks of the file.
     if (pendingFiles_.erase(file) > 0) {
         std::vector<PendingBlock> kept;
@@ -342,16 +298,9 @@ LfsLog::deleteFile(FileId file)
 void
 LfsLog::truncate(FileId file, Bytes new_size)
 {
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::JournalAppend,
-                                   file, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            return; // the truncate dies in volatile memory
-          default:
-            break;
-        }
-    }
+    if (crashAt(nvram::CrashSiteKind::JournalAppend, file) !=
+        nvram::CrashAction::None)
+        return; // the truncate dies in volatile memory
     const auto first_dead = static_cast<std::uint32_t>(
         blocksCovering(new_size));
     // Pending blocks beyond the new size die before reaching disk.
@@ -391,18 +340,12 @@ LfsLog::truncate(FileId file, Bytes new_size)
 Checkpoint
 LfsLog::takeCheckpoint()
 {
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(nvram::CrashSiteKind::Checkpoint,
-                                   0, this)) {
-          case nvram::CrashAction::PowerFail:
-          case nvram::CrashAction::Dead:
-            // The checkpoint was never written; the caller holds a
-            // snapshot covering nothing (roll-forward starts at
-            // segment zero).
-            return Checkpoint{};
-          default:
-            break;
-        }
+    if (crashAt(nvram::CrashSiteKind::Checkpoint, 0) !=
+        nvram::CrashAction::None) {
+        // The checkpoint was never written; the caller holds a
+        // snapshot covering nothing (roll-forward starts at segment
+        // zero).
+        return Checkpoint{};
     }
     seal(SealCause::Checkpoint);
     Checkpoint cp;

@@ -22,12 +22,8 @@
 
 #include "lfs/inode_map.hpp"
 #include "lfs/segment.hpp"
+#include "nvram/crash_site.hpp"
 #include "util/interval_set.hpp"
-
-namespace nvfs::nvram {
-class CrashSiteHook;
-class FaultPlan;
-}
 
 namespace nvfs::lfs {
 
@@ -173,30 +169,19 @@ class LfsLog
         return activeIds_;
     }
 
-    // ---- Fault injection (nvfs::check) -------------------------------
+    // ---- Crash sites (nvfs::crash, nvfs::check) ----------------------
 
     /**
-     * Attach a fault plan; nullptr detaches.  Not owned — the caller
-     * keeps it alive for the log's lifetime.  The plan is consulted
-     * once per segment write: a torn seal completes in memory (the
-     * pre-crash host believes the write succeeded) but marks the
-     * segment torn so recovery stops there; a power-fail aborts the
-     * write and drops the open segment's volatile contents.
-     */
-    void setFaultPlan(nvram::FaultPlan *plan) { faults_ = plan; }
-
-    /** True once an injected seal fault has fired on this log. */
-    bool faultFired() const { return faultFired_; }
-
-    /**
-     * Attach a crash-site hook (nvfs::crash); nullptr detaches.  Not
-     * owned.  The hook is consulted at every durable transition —
-     * journal appends, seal begin, each inode-map update during a
-     * seal, seal commit, and checkpoints — and can crash the log
-     * there: PowerFail drops the op (and, at seal begin, the open
-     * segment's volatile contents); Torn completes the seal in memory
-     * but marks the segment torn; Dead makes the op a no-op (the host
-     * is already down).
+     * Attach a crash-site hook (the crash explorer's registry or a
+     * FaultPlan); nullptr detaches.  Not owned.  The hook is
+     * consulted at every durable transition — journal appends, seal
+     * begin, each inode-map update during a seal, seal commit, and
+     * checkpoints — and can crash the log there.  At seal begin,
+     * PowerFail drops the open segment's volatile contents, Torn
+     * completes the seal in memory but marks the segment torn, and
+     * Dead skips the seal (the host is already down).  Any other
+     * action drops a journal append or checkpoint, and tears the
+     * segment at an inode update or seal commit.
      */
     void setCrashHook(nvram::CrashSiteHook *hook) { crashHook_ = hook; }
 
@@ -244,6 +229,13 @@ class LfsLog
     /** Dead-en a superseded on-disk copy. */
     void killAddress(const SegmentAddress &address);
 
+    /** Consult the attached hook at a crash site; None without one. */
+    nvram::CrashAction crashAt(nvram::CrashSiteKind kind,
+                               std::uint64_t detail);
+
+    /** Clear the open segment: it was sealed, or power lost it. */
+    void dropOpenSegment();
+
     LfsConfig config_;
     InodeMap inodes_;
     std::vector<Segment> segments_;
@@ -259,8 +251,6 @@ class LfsLog
     /** Per-segment persisted journals, indexed by segment id. */
     std::vector<std::vector<JournalRecord>> journals_;
 
-    nvram::FaultPlan *faults_ = nullptr;
-    bool faultFired_ = false;
     nvram::CrashSiteHook *crashHook_ = nullptr;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "nvram/crash_site.hpp"
-#include "nvram/fault.hpp"
 #include "util/log.hpp"
 
 namespace nvfs::nvram {
@@ -14,30 +12,29 @@ NvramDevice::NvramDevice(const DeviceParams &params)
     NVFS_REQUIRE(params_.capacity > 0, "NVRAM needs capacity");
 }
 
+CrashAction
+NvramDevice::crashAt(CrashSiteKind kind, std::uint64_t detail)
+{
+    return crashHook_ == nullptr
+               ? CrashAction::None
+               : crashHook_->onSite(kind, detail, this);
+}
+
 bool
 NvramDevice::put(std::uint64_t tag, Bytes bytes)
 {
-    if (crashHook_ != nullptr) {
-        switch (crashHook_->onSite(CrashSiteKind::DevicePut, tag,
-                                   this)) {
-          case CrashAction::Drop:
-            // Power failed mid-write: the access was issued (count
-            // it) but the cell never committed; the old value for the
-            // tag survives.
-            ++writes_;
-            return false;
-          case CrashAction::Dead:
-            // The host is already down — the put is never issued.
-            return false;
-          default:
-            break;
-        }
-    }
-    if (faults_ != nullptr && faults_->onDeviceWrite()) {
-        // Torn device write: the access was issued (count it) but the
-        // cell never committed; the old value for the tag survives.
+    switch (crashAt(CrashSiteKind::DevicePut, tag)) {
+      case CrashAction::Drop:
+        // Power failed mid-write: the access was issued (count it)
+        // but the cell never committed; the old value for the tag
+        // survives.
         ++writes_;
         return false;
+      case CrashAction::Dead:
+        // The host is already down — the put is never issued.
+        return false;
+      default:
+        break;
     }
     auto it = contents_.find(tag);
     const Bytes old = it == contents_.end() ? 0 : it->second;

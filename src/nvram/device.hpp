@@ -16,12 +16,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "nvram/crash_site.hpp"
 #include "util/types.hpp"
 
 namespace nvfs::nvram {
-
-class CrashSiteHook;
-class FaultPlan;
 
 /** Static properties of an NVRAM part. */
 struct DeviceParams
@@ -106,22 +104,18 @@ class NvramDevice
     std::uint64_t writeAccesses() const { return writes_; }
 
     /**
-     * Attach a fault plan (nvfs::check); nullptr detaches.  Not owned
-     * — the caller keeps it alive for the device's lifetime.  An armed
-     * device-drop fault makes the matching put() fail as if power
-     * dropped mid-write: nothing stored, previous contents intact.
-     */
-    void setFaultPlan(FaultPlan *plan) { faults_ = plan; }
-
-    /**
-     * Attach a crash-site hook (nvfs::crash); nullptr detaches.  Not
-     * owned.  Every put() is a DevicePut crash site: the hook can
-     * count it, drop it (power fails mid-write; previous contents
-     * survive), or declare the host dead (the put never happens).
+     * Attach a crash-site hook (nvfs::crash, or a FaultPlan);
+     * nullptr detaches.  Not owned.  Every put() is a DevicePut crash
+     * site: the hook can count it, drop it (power fails mid-write;
+     * previous contents survive), or declare the host dead (the put
+     * never happens).
      */
     void setCrashHook(CrashSiteHook *hook) { crashHook_ = hook; }
 
   private:
+    /** Consult the attached hook at a crash site; None without one. */
+    CrashAction crashAt(CrashSiteKind kind, std::uint64_t detail);
+
     DeviceParams params_;
     std::unordered_map<std::uint64_t, Bytes> contents_;
     Bytes used_ = 0;
@@ -130,7 +124,6 @@ class NvramDevice
     bool contentsValid_ = true;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
-    FaultPlan *faults_ = nullptr;
     CrashSiteHook *crashHook_ = nullptr;
 };
 

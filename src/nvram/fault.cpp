@@ -83,30 +83,29 @@ FaultPlan::fromEnv()
     return plan;
 }
 
-SealFault
-FaultPlan::onSeal()
+CrashAction
+FaultPlan::onSite(CrashSiteKind kind, std::uint64_t /*detail*/,
+                  const void * /*origin*/)
 {
-    ++seals_;
-    if (powerFails_.count(seals_) != 0) {
-        fired_.push_back({FaultEvent::Kind::PowerFail, seals_});
-        return SealFault::PowerFail;
+    if (kind == CrashSiteKind::SealBegin) {
+        ++seals_;
+        if (powerFails_.count(seals_) != 0) {
+            fired_.push_back({FaultEvent::Kind::PowerFail, seals_});
+            return CrashAction::PowerFail;
+        }
+        if (tornSeals_.count(seals_) != 0) {
+            fired_.push_back({FaultEvent::Kind::TornSeal, seals_});
+            return CrashAction::Torn;
+        }
+    } else if (kind == CrashSiteKind::DevicePut) {
+        ++deviceWrites_;
+        if (deviceDrops_.count(deviceWrites_) != 0) {
+            fired_.push_back(
+                {FaultEvent::Kind::DeviceDrop, deviceWrites_});
+            return CrashAction::Drop;
+        }
     }
-    if (tornSeals_.count(seals_) != 0) {
-        fired_.push_back({FaultEvent::Kind::TornSeal, seals_});
-        return SealFault::Torn;
-    }
-    return SealFault::None;
-}
-
-bool
-FaultPlan::onDeviceWrite()
-{
-    ++deviceWrites_;
-    if (deviceDrops_.count(deviceWrites_) != 0) {
-        fired_.push_back({FaultEvent::Kind::DeviceDrop, deviceWrites_});
-        return true;
-    }
-    return false;
+    return CrashAction::None;
 }
 
 } // namespace nvfs::nvram

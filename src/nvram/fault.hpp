@@ -2,8 +2,9 @@
  * @file
  * Fault injection for the nvfs::check subsystem.
  *
- * A FaultPlan arms faults at 1-based event indices and is consulted by
- * the instrumented components as those events happen:
+ * A FaultPlan is a scripted CrashSiteHook: it arms faults at 1-based
+ * event indices and fires them as the instrumented components reach
+ * the matching crash sites:
  *
  *  - torn-seal:N    the Nth segment write of an LfsLog is interrupted
  *                   after its data but before its summary block.  The
@@ -15,6 +16,12 @@
  *                   segment's volatile contents vanish.
  *  - device-drop:N  the Nth NvramDevice::put() is dropped mid-write;
  *                   the device keeps its previous contents for the tag.
+ *
+ * Unlike the crash explorer's registry, a plan fires and continues: it
+ * never declares the host dead, so the run goes on after each fault
+ * and later indices still fire.  Indices count across every log and
+ * device the plan is attached to; a power-failed seal still counts as
+ * a seal, and power-fail wins over torn-seal at the same index.
  *
  * The plan records every fault that actually fired so tests can assert
  * exact loss accounting.  Plans are plain state machines: not thread
@@ -29,14 +36,9 @@
 #include <string>
 #include <vector>
 
-namespace nvfs::nvram {
+#include "nvram/crash_site.hpp"
 
-/** What a FaultPlan can do to one segment write. */
-enum class SealFault : std::uint8_t {
-    None,      ///< write completes
-    Torn,      ///< data written, summary lost
-    PowerFail, ///< nothing written, volatile state lost
-};
+namespace nvfs::nvram {
 
 /** One fault that fired. */
 struct FaultEvent
@@ -50,7 +52,7 @@ struct FaultEvent
 };
 
 /** Armed faults plus counters of the events seen so far. */
-class FaultPlan
+class FaultPlan : public CrashSiteHook
 {
   public:
     FaultPlan() = default;
@@ -83,13 +85,11 @@ class FaultPlan
     static std::optional<FaultPlan> fromEnv();
 
     /**
-     * Hook: an LfsLog is about to write a segment.  Counts the event
-     * and reports the fate of this write.
+     * Counts SealBegin and DevicePut sites and answers PowerFail,
+     * Torn or Drop at the armed indices; None everywhere else.
      */
-    SealFault onSeal();
-
-    /** Hook: an NvramDevice::put().  True = drop this write. */
-    bool onDeviceWrite();
+    CrashAction onSite(CrashSiteKind kind, std::uint64_t detail,
+                       const void *origin) override;
 
     /** Segment writes attempted so far. */
     std::uint64_t sealsSeen() const { return seals_; }

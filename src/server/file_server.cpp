@@ -35,8 +35,6 @@ FileServer::FileServer(std::vector<std::string> fs_names,
     for (auto &name : fs_names) {
         auto fs = std::make_unique<FsState>(config_.lfs);
         fs->stats.name = std::move(name);
-        if (faults_)
-            fs->log.setFaultPlan(faults_.get());
         if (config_.nvramBufferBytes > 0) {
             // The ledger never enforces capacity — the overflow seal
             // in run() does that against nvramBufferBytes — so give
@@ -47,6 +45,8 @@ FileServer::FileServer(std::vector<std::string> fs_names,
         }
         state_.push_back(std::move(fs));
     }
+    if (faults_)
+        setCrashHook(faults_.get());
 }
 
 nvram::NvramDevice *
@@ -59,6 +59,15 @@ FileServer::nvramDevice(FsId fs)
 void
 FileServer::setCrashHook(nvram::CrashSiteHook *hook)
 {
+    if (faults_ && hook != faults_.get()) {
+        // Two hooks would fire into one server: the plan's faults
+        // break the other hook's ground truth (the explorer's oracle
+        // would flag false violations at its crashes).
+        util::fatal("NVFS_FAULTS is armed and cannot share the file "
+                    "server with another crash-site hook (crash "
+                    "exploration injects its own faults); unset "
+                    "NVFS_FAULTS");
+    }
     crashHook_ = hook;
     for (auto &fs : state_) {
         fs->log.setCrashHook(hook);

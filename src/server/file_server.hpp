@@ -99,7 +99,9 @@ class FileServer
 
     /**
      * Attach a crash-site hook (nvfs::crash) to every log and NVRAM
-     * device; nullptr detaches.  Not owned.
+     * device; nullptr detaches.  Not owned.  A server built with
+     * NVFS_FAULTS set already carries its plan as the hook; replacing
+     * it is a hard error (util::fatal) rather than a silent disarm.
      */
     void setCrashHook(nvram::CrashSiteHook *hook);
 
@@ -143,8 +145,9 @@ class FileServer
 
     ServerConfig config_;
     std::vector<std::unique_ptr<FsState>> state_;
-    /** NVFS_FAULTS plan shared by every log; heap-owned so the
-     *  pointers the logs hold survive a FileServer move. */
+    /** NVFS_FAULTS plan, attached as the crash hook of every log and
+     *  NVRAM device; heap-owned so the pointers they hold survive a
+     *  FileServer move. */
     std::unique_ptr<nvram::FaultPlan> faults_;
     nvram::CrashSiteHook *crashHook_ = nullptr;
     TimeUs lastSweep_ = 0;

@@ -504,6 +504,18 @@ TEST(ExploreDeathTest, MalformedCrashSitesIsFatal)
     ::unsetenv("NVFS_CRASH_SITES");
 }
 
+TEST(ExploreDeathTest, NvfsFaultsIsFatal)
+{
+    // An armed NVFS_FAULTS plan would fire into the explored server
+    // beside the explorer's own crashes and fake oracle violations.
+    ::setenv("NVFS_FAULTS", "torn-seal:1", 1);
+    crash::ExploreConfig config;
+    config.server.lfs.segmentBytes = 64 * kKiB;
+    EXPECT_EXIT(crash::explore(smallWorkload(), config),
+                ::testing::ExitedWithCode(1), "NVFS_FAULTS");
+    ::unsetenv("NVFS_FAULTS");
+}
+
 TEST(ExploreDeathTest, ConflictingSiteKnobsAreFatal)
 {
     ::setenv("NVFS_CRASH_SITES", "2", 1);

@@ -34,6 +34,8 @@ class AuditTestPeer
 
 namespace {
 
+using nvram::CrashAction;
+using nvram::CrashSiteKind;
 using nvram::FaultEvent;
 using nvram::FaultPlan;
 using nvram::NvramDevice;
@@ -54,10 +56,13 @@ TEST(FaultPlan, ParsesSpec)
         FaultPlan::fromSpec("torn-seal:2,power-fail:5,device-drop:1");
     ASSERT_TRUE(plan.has_value());
     FaultPlan mutable_plan = *plan;
-    EXPECT_EQ(mutable_plan.onSeal(), nvram::SealFault::None);
-    EXPECT_EQ(mutable_plan.onSeal(), nvram::SealFault::Torn);
-    EXPECT_TRUE(mutable_plan.onDeviceWrite());
-    EXPECT_FALSE(mutable_plan.onDeviceWrite());
+    const auto at = [&](CrashSiteKind kind) {
+        return mutable_plan.onSite(kind, 0, nullptr);
+    };
+    EXPECT_EQ(at(CrashSiteKind::SealBegin), CrashAction::None);
+    EXPECT_EQ(at(CrashSiteKind::SealBegin), CrashAction::Torn);
+    EXPECT_EQ(at(CrashSiteKind::DevicePut), CrashAction::Drop);
+    EXPECT_EQ(at(CrashSiteKind::DevicePut), CrashAction::None);
 }
 
 TEST(FaultPlan, RejectsMalformedSpecs)
@@ -88,12 +93,36 @@ TEST(FaultPlan, RecordsFiredEvents)
     FaultPlan plan;
     plan.tearSealAt(2);
     EXPECT_FALSE(plan.anyFired());
-    plan.onSeal();
-    plan.onSeal();
+    plan.onSite(CrashSiteKind::SealBegin, 0, nullptr);
+    plan.onSite(CrashSiteKind::SealBegin, 0, nullptr);
     ASSERT_EQ(plan.fired().size(), 1u);
     EXPECT_EQ(plan.fired()[0],
               (FaultEvent{FaultEvent::Kind::TornSeal, 2}));
     EXPECT_EQ(plan.sealsSeen(), 2u);
+}
+
+TEST(FaultPlan, CountsOnlyItsOwnSitesAndNeverGoesDead)
+{
+    // The other site kinds pass through uncounted, and a fired fault
+    // leaves the host running: later indices still fire.
+    FaultPlan plan;
+    plan.tearSealAt(1);
+    plan.dropDeviceWriteAt(2);
+    for (const CrashSiteKind kind :
+         {CrashSiteKind::InodeUpdate, CrashSiteKind::SealCommit,
+          CrashSiteKind::JournalAppend, CrashSiteKind::Checkpoint}) {
+        EXPECT_EQ(plan.onSite(kind, 0, nullptr), CrashAction::None);
+    }
+    EXPECT_EQ(plan.sealsSeen(), 0u);
+    EXPECT_EQ(plan.deviceWritesSeen(), 0u);
+    EXPECT_EQ(plan.onSite(CrashSiteKind::SealBegin, 0, nullptr),
+              CrashAction::Torn);
+    EXPECT_FALSE(plan.dead());
+    EXPECT_EQ(plan.onSite(CrashSiteKind::DevicePut, 7, nullptr),
+              CrashAction::None);
+    EXPECT_EQ(plan.onSite(CrashSiteKind::DevicePut, 7, nullptr),
+              CrashAction::Drop);
+    EXPECT_FALSE(plan.dead());
 }
 
 TEST(FaultPlan, NvfsFaultsArmsTheFileServer)
@@ -109,14 +138,68 @@ TEST(FaultPlan, NvfsFaultsArmsTheFileServer)
     LfsLog &log = srv.log(0);
     log.writeBlock(1, 0, kBlockSize);
     EXPECT_TRUE(log.seal(SealCause::Fsync));
-    EXPECT_TRUE(log.faultFired());
     EXPECT_TRUE(log.segments().back().torn);
 
     // Unset env arms nothing.
     server::FileServer clean({"fs0"}, config);
     clean.log(0).writeBlock(1, 0, kBlockSize);
     EXPECT_TRUE(clean.log(0).seal(SealCause::Fsync));
-    EXPECT_FALSE(clean.log(0).faultFired());
+    EXPECT_FALSE(clean.log(0).segments().back().torn);
+}
+
+TEST(FaultPlan, NvfsFaultsCountsSealsAcrossFileSystems)
+{
+    // One plan serves the whole server: seal indices count across
+    // every file system's log, in the order the seals happen.
+    ::setenv("NVFS_FAULTS", "torn-seal:2", 1);
+    server::ServerConfig config;
+    config.lfs.segmentBytes = 64 * kKiB;
+    server::FileServer srv({"fs0", "fs1"}, config);
+    ::unsetenv("NVFS_FAULTS");
+
+    srv.log(0).writeBlock(1, 0, kBlockSize);
+    EXPECT_TRUE(srv.log(0).seal(SealCause::Fsync)); // seal 1
+    srv.log(1).writeBlock(1, 0, kBlockSize);
+    EXPECT_TRUE(srv.log(1).seal(SealCause::Fsync)); // seal 2: torn
+    EXPECT_FALSE(srv.log(0).segments().back().torn);
+    EXPECT_TRUE(srv.log(1).segments().back().torn);
+}
+
+TEST(FaultPlan, DeviceDropHitsTheBufferedServersLedger)
+{
+    // NVFS_FAULTS=device-drop:N must reach the NVRAM write buffer a
+    // buffered server stages every block in, not only the logs.
+    ::setenv("NVFS_FAULTS", "device-drop:1", 1);
+    server::ServerConfig config;
+    config.lfs.segmentBytes = 64 * kKiB;
+    config.nvramBufferBytes = 512 * kKiB;
+    server::FileServer srv({"fs0"}, config);
+    ::unsetenv("NVFS_FAULTS");
+
+    using workload::ServerOp;
+    ServerOp write;
+    write.kind = ServerOp::Kind::Write;
+    write.time = 1;
+    write.file = 3;
+    write.length = kBlockSize;
+    ServerOp fsync = write;
+    fsync.kind = ServerOp::Kind::Fsync;
+    fsync.time = 2;
+    // Stop (without the shutdown drain) once the fsync has staged the
+    // block: the drain would seal it and empty the ledger.
+    const std::vector<ServerOp> ops{write, fsync, write};
+    int checks = 0;
+    srv.run(ops, [&checks] { return ++checks > 2; });
+
+    const nvram::NvramDevice *ledger = srv.nvramDevice(0);
+    ASSERT_NE(ledger, nullptr);
+    EXPECT_EQ(srv.stats(0).fsyncsAbsorbed, 1u);
+    EXPECT_EQ(srv.log(0).pendingBytes(), kBlockSize);
+    // The staging put was issued (one write access) and dropped: the
+    // ledger does not hold the block's tag (file 3 << 32 | block 0).
+    EXPECT_EQ(ledger->writeAccesses(), 1u);
+    EXPECT_FALSE(ledger->holds(std::uint64_t{3} << 32));
+    EXPECT_EQ(ledger->usedBytes(), 0u);
 }
 
 // --------------------------------------------------- torn seg writes
@@ -129,7 +212,7 @@ TEST(FaultInjection, TornFinalSegmentLosesOnlyItsOwnData)
     LfsLog log(smallConfig());
     FaultPlan plan;
     plan.tearSealAt(3);
-    log.setFaultPlan(&plan);
+    log.setCrashHook(&plan);
 
     log.writeBlock(1, 0, kBlockSize);
     EXPECT_TRUE(log.seal(SealCause::Fsync));
@@ -137,7 +220,7 @@ TEST(FaultInjection, TornFinalSegmentLosesOnlyItsOwnData)
     EXPECT_TRUE(log.seal(SealCause::Fsync));
     log.writeBlock(3, 0, kBlockSize);
     EXPECT_TRUE(log.seal(SealCause::Fsync)); // torn: host can't tell
-    EXPECT_TRUE(log.faultFired());
+    EXPECT_TRUE(plan.anyFired());
     EXPECT_TRUE(log.segments().back().torn);
 
     const RecoveryResult result = rollForward(log);
@@ -159,7 +242,7 @@ TEST(FaultInjection, TornMiddleSegmentTruncatesTheLog)
     LfsLog log(smallConfig());
     FaultPlan plan;
     plan.tearSealAt(2);
-    log.setFaultPlan(&plan);
+    log.setCrashHook(&plan);
 
     log.writeBlock(1, 0, kBlockSize);
     log.seal(SealCause::Fsync);
@@ -185,7 +268,7 @@ TEST(FaultInjection, TornWriteGoesUndetectedWithoutTheFaultPlan)
     LfsLog log(smallConfig());
     FaultPlan plan;
     plan.tearSealAt(1);
-    log.setFaultPlan(&plan);
+    log.setCrashHook(&plan);
     log.writeBlock(1, 0, kBlockSize);
     log.seal(SealCause::Fsync);
 
@@ -208,13 +291,13 @@ TEST(FaultInjection, PowerFailDropsTheOpenSegment)
     LfsLog log(smallConfig());
     FaultPlan plan;
     plan.powerFailAt(2);
-    log.setFaultPlan(&plan);
+    log.setCrashHook(&plan);
 
     log.writeBlock(1, 0, kBlockSize);
     EXPECT_TRUE(log.seal(SealCause::Fsync));
     log.writeBlock(2, 0, kBlockSize);
     EXPECT_FALSE(log.seal(SealCause::Fsync)); // power died
-    EXPECT_TRUE(log.faultFired());
+    EXPECT_TRUE(plan.anyFired());
 
     // Nothing half-written: the open segment's volatile contents are
     // simply gone and the log is still internally consistent.
@@ -236,7 +319,7 @@ TEST(FaultInjection, LogStaysUsableAfterPowerFail)
     LfsLog log(smallConfig());
     FaultPlan plan;
     plan.powerFailAt(1);
-    log.setFaultPlan(&plan);
+    log.setCrashHook(&plan);
 
     log.writeBlock(1, 0, kBlockSize);
     EXPECT_FALSE(log.seal(SealCause::Fsync));
@@ -251,6 +334,73 @@ TEST(FaultInjection, LogStaysUsableAfterPowerFail)
     EXPECT_FALSE(result.inodes.locate(1, 0).has_value());
 }
 
+// ------------------------------------------------------ index semantics
+
+TEST(FaultInjection, PowerFailedSealStillCountsAsASeal)
+{
+    auto plan = FaultPlan::fromSpec("power-fail:2,torn-seal:3");
+    ASSERT_TRUE(plan.has_value());
+    LfsLog log(smallConfig());
+    log.setCrashHook(&*plan);
+
+    log.writeBlock(1, 0, kBlockSize);
+    EXPECT_TRUE(log.seal(SealCause::Fsync)); // seal 1
+    log.writeBlock(2, 0, kBlockSize);
+    EXPECT_FALSE(log.seal(SealCause::Fsync)); // seal 2: power fails
+    EXPECT_EQ(log.pendingBytes(), 0u);
+    EXPECT_EQ(log.segments().size(), 1u);
+    log.writeBlock(3, 0, kBlockSize);
+    EXPECT_TRUE(log.seal(SealCause::Fsync)); // seal 3: torn
+    ASSERT_EQ(log.segments().size(), 2u);
+    EXPECT_TRUE(log.segments().back().torn);
+    EXPECT_EQ(plan->fired(),
+              (std::vector<FaultEvent>{
+                  {FaultEvent::Kind::PowerFail, 2},
+                  {FaultEvent::Kind::TornSeal, 3}}));
+}
+
+TEST(FaultInjection, PowerFailBeatsTornAtTheSameIndex)
+{
+    auto plan = FaultPlan::fromSpec("torn-seal:2,power-fail:2");
+    ASSERT_TRUE(plan.has_value());
+    LfsLog log(smallConfig());
+    log.setCrashHook(&*plan);
+
+    log.writeBlock(1, 0, kBlockSize);
+    EXPECT_TRUE(log.seal(SealCause::Fsync));
+    log.writeBlock(2, 0, kBlockSize);
+    EXPECT_FALSE(log.seal(SealCause::Fsync)); // power-fail, not torn
+    EXPECT_EQ(log.segments().size(), 1u);
+    EXPECT_FALSE(log.segments().back().torn);
+    EXPECT_EQ(plan->fired(),
+              (std::vector<FaultEvent>{
+                  {FaultEvent::Kind::PowerFail, 2}}));
+}
+
+TEST(FaultInjection, LogKeepsSealingAfterATornSeal)
+{
+    // A torn seal fires and the host carries on: later seals are
+    // written normally (recovery still stops at the tear).
+    LfsLog log(smallConfig());
+    FaultPlan plan;
+    plan.tearSealAt(1);
+    log.setCrashHook(&plan);
+
+    log.writeBlock(1, 0, kBlockSize);
+    EXPECT_TRUE(log.seal(SealCause::Fsync)); // torn
+    for (std::uint32_t b = 1; b <= 3; ++b) {
+        log.writeBlock(1, b, kBlockSize);
+        EXPECT_TRUE(log.seal(SealCause::Fsync));
+        EXPECT_FALSE(log.segments().back().torn);
+    }
+    EXPECT_EQ(log.segments().size(), 4u);
+    EXPECT_TRUE(log.segments().front().torn);
+    EXPECT_EQ(plan.sealsSeen(), 4u);
+    EXPECT_EQ(plan.fired().size(), 1u);
+    EXPECT_NO_THROW(log.auditInvariants());
+    EXPECT_TRUE(rollForward(log).stoppedAtTornSegment);
+}
+
 // -------------------------------------------------- NVRAM device drop
 
 TEST(FaultInjection, DeviceDropKeepsPreviousContents)
@@ -258,7 +408,7 @@ TEST(FaultInjection, DeviceDropKeepsPreviousContents)
     NvramDevice device;
     FaultPlan plan;
     plan.dropDeviceWriteAt(2);
-    device.setFaultPlan(&plan);
+    device.setCrashHook(&plan);
 
     EXPECT_TRUE(device.put(7, 100));
     EXPECT_FALSE(device.put(7, 500)); // dropped mid-write
