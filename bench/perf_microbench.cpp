@@ -306,7 +306,7 @@ BENCHMARK(BM_ReplayGrid)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-/** Trace file on disk for the ingest/pipeline benches, written once. */
+/** Trace file on disk for the ingest benches, written once. */
 const std::string &
 benchTracePath(int trace, bool text)
 {
@@ -354,41 +354,6 @@ BENCHMARK(BM_ParallelIngest)
     ->Args({1, 0})->Args({2, 0})->Args({4, 0})
     ->Args({1, 1})->Args({2, 1})->Args({4, 1})
     ->UseRealTime();
-
-void
-BM_PipelineSweep(benchmark::State &state)
-{
-    // The pipelined multi-trace sweep: ingest+prep of trace k+1
-    // overlaps the model-grid replay of trace k, and the ingest
-    // itself fans out across the same pool.  jobs=1 is the strict
-    // serial prepare-then-replay baseline; the jobs:N / jobs:1 ratio
-    // is the pipeline speedup recorded in BENCH_e2e.json.
-    const auto jobs = static_cast<unsigned>(state.range(0));
-    std::vector<std::string> paths;
-    for (const int trace : {3, 4, 7})
-        paths.push_back(benchTracePath(trace, false));
-    std::vector<core::ModelConfig> models;
-    for (const double mb : {0.5, 1.0, 2.0}) {
-        core::ModelConfig model;
-        model.kind = core::ModelKind::Unified;
-        model.volatileBytes = 8 * kMiB;
-        model.nvramBytes = static_cast<Bytes>(mb * kMiB);
-        models.push_back(model);
-    }
-    const core::SweepRunner runner(jobs);
-    for (auto _ : state) {
-        const auto rows = runner.runTraceSweep(paths, models);
-        benchmark::DoNotOptimize(rows.front().front().appWriteBytes);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(paths.size() * models.size()));
-}
-BENCHMARK(BM_PipelineSweep)
-    ->ArgName("jobs")
-    ->Arg(1)->Arg(2)->Arg(4)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 

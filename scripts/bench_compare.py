@@ -3,13 +3,12 @@
 
 Runs ``perf_microbench`` with google-benchmark's JSON reporter and
 normalizes the result into compact {benchmark: {real_time_ns, ...}}
-summaries.  The whole-trace macrobenchmarks — BM_ClusterSimReplay,
-the pipelined BM_PipelineSweep and the BM_ReplayGrid scheduler — go
-to BENCH_e2e.json, which additionally pairs each extent-engine run
-with its legacy-engine twin (and each multi-job pipeline/grid run
-with its jobs:1 baseline) and records the speedup ratios in both real
-and cpu time, plus host metadata
-(hardware_concurrency, NVFS_JOBS / NVFS_GRID_JOBS); everything else
+summaries.  The whole-trace macrobenchmarks — BM_ClusterSimReplay
+and the BM_ReplayGrid scheduler — go to BENCH_e2e.json, which
+additionally pairs each extent-engine run with its legacy-engine twin
+(and each multi-job grid run with its jobs:1 baseline) and records
+the speedup ratios in both real and cpu time, plus host metadata
+(hardware_concurrency, NVFS_JOBS); everything else
 goes to BENCH_microbench.json so CI can archive a perf snapshot per
 commit.  With ``--baseline
 previous.json`` it also prints a per-benchmark comparison and (with
@@ -38,12 +37,9 @@ import subprocess
 import sys
 import tempfile
 
-E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_PipelineSweep",
-                "BM_ReplayGrid")
+E2E_PREFIXES = ("BM_ClusterSimReplay", "BM_ReplayGrid")
 E2E_NAME = re.compile(
     r"^BM_ClusterSimReplay/trace:(\d+)/model:(\d+)/engine:(\d+)$")
-PIPELINE_NAME = re.compile(
-    r"^BM_PipelineSweep/jobs:(\d+)(?:/real_time)?$")
 GRID_NAME = re.compile(
     r"^BM_ReplayGrid/jobs:(\d+)(?:/real_time)?$")
 MODEL_NAMES = {0: "volatile", 1: "write-aside", 2: "unified"}
@@ -230,9 +226,7 @@ def add_speedups(e2e):
             speedups[key]["cpu_speedup"] = legacy[1] / extent[1]
     e2e["speedups"] = speedups
 
-    # Pipelined sweep and replay grid: jobs:N vs the jobs:1 baseline.
-    e2e["pipeline_speedups"] = _jobs_speedups(
-        e2e, PIPELINE_NAME, "serial_ms", "pipelined_ms")
+    # Replay grid: jobs:N vs the jobs:1 baseline.
     e2e["grid_speedups"] = _jobs_speedups(
         e2e, GRID_NAME, "serial_ms", "grid_ms")
     return e2e
@@ -243,15 +237,14 @@ def host_metadata(raw):
 
     The speedup ratios only mean something next to the parallelism
     that was available: std::thread::hardware_concurrency (surfaced
-    as num_cpus in the google-benchmark context) and the NVFS_JOBS /
-    NVFS_GRID_JOBS overrides in effect during the run.
+    as num_cpus in the google-benchmark context) and the NVFS_JOBS
+    override in effect during the run.
     """
     return {
         "hardware_concurrency": raw.get("context", {}).get(
             "num_cpus", os.cpu_count()),
         "env": {
             "NVFS_JOBS": os.environ.get("NVFS_JOBS"),
-            "NVFS_GRID_JOBS": os.environ.get("NVFS_GRID_JOBS"),
         },
     }
 
@@ -467,10 +460,6 @@ def main():
             print(f"  {key}: {entry['legacy_ms']:.1f}ms -> "
                   f"{entry['extent_ms']:.1f}ms "
                   f"({entry['speedup']:.2f}x{cpu_s})")
-        for key, entry in sorted(e2e["pipeline_speedups"].items()):
-            print(f"  pipeline {key}: {entry['serial_ms']:.1f}ms -> "
-                  f"{entry['pipelined_ms']:.1f}ms "
-                  f"({entry['speedup']:.2f}x)")
         for key, entry in sorted(e2e["grid_speedups"].items()):
             print(f"  grid {key}: {entry['serial_ms']:.1f}ms -> "
                   f"{entry['grid_ms']:.1f}ms "

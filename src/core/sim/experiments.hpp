@@ -69,25 +69,23 @@ Metrics runClientSim(const prep::OpStream &ops, const ModelConfig &model,
                      std::uint64_t seed = 42);
 
 /**
- * Worker width of the replay grid of one sweep point: the
- * NVFS_GRID_JOBS environment variable when set to a positive integer,
- * else defaultJobCount() (i.e. NVFS_JOBS / the hardware thread
- * count).  A malformed or non-positive NVFS_GRID_JOBS warns via
- * envInt() — naming the variable and the accepted range — and falls
- * back, the same strict-parse path NVFS_JOBS and NVFS_SCALE use.
+ * util::defaultJobCount(): the replay grid has no width knob of its
+ * own.  Kept only so run manifests that record a "grid_jobs" width
+ * still have a value to print.
  */
 unsigned gridJobCount();
 
 /**
  * Replay one op stream through every model concurrently: each (model,
- * engine) cell of the grid runs as its own task on the ambient
- * work-stealing pool, with per-task ClusterSim/Metrics state, and the
- * results come back in model order.  Bit-identical to calling
- * runClientSim on each model in sequence for any width: tasks share
+ * engine) cell of the grid is one grain-1 parallelFor chunk on the
+ * ambient work-stealing pool, with per-cell ClusterSim/Metrics state,
+ * and the results come back in model order.  Bit-identical to calling
+ * runClientSim on each model in sequence for any width: cells share
  * only the read-only op stream, each owns its simulator and RNG, and
  * if several threw, the lowest-index model's exception is rethrown
- * (deterministic).  `width` 0 means gridJobCount(); width 1 (or a
- * single model) runs the plain serial loop on the calling thread.
+ * (deterministic).  At most `width` cells replay at once (0 = the
+ * ambient pool's thread count); width 1 runs the plain serial loop on
+ * the calling thread.
  */
 std::vector<Metrics>
 runClientGrid(const prep::OpStream &ops,

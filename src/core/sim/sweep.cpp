@@ -20,8 +20,6 @@ SweepRunner::runTraceSweep(const std::vector<std::string> &trace_paths,
     return runPipelined(
         trace_paths,
         [](const std::string &path) {
-            // Runs on a pool worker, so the mmap ingest's ambient
-            // parallelFor fans out across the same pool.
             trace::TraceBuffer raw = [&path] {
                 const obs::StageTimer stage("sweep.ingest", path);
                 return trace::readTraceFile(path);
@@ -29,13 +27,9 @@ SweepRunner::runTraceSweep(const std::vector<std::string> &trace_paths,
             const obs::StageTimer stage("sweep.prep", path);
             return prep::convertTrace(raw);
         },
-        [&models, seed](prep::OpStream ops) {
-            // The replay grid of the current point fans out over
-            // NVFS_GRID_JOBS tasks (bit-identical to the serial model
-            // loop) while the pipeline's own pool prepares the next
-            // point.
+        [this, &models, seed](prep::OpStream ops) {
             const obs::StageTimer stage("sweep.replay");
-            return runClientGrid(ops, models, seed);
+            return runClientGrid(ops, models, seed, jobs_);
         });
 }
 
@@ -45,8 +39,8 @@ SweepRunner::runClientSweep(const prep::OpStream &ops,
                             std::uint64_t seed) const
 {
     // The shared-op-stream model grid IS the replay grid: run it on
-    // the grid scheduler (ambient pool claim loop) at this runner's
-    // width instead of spinning up a dedicated pool per call.
+    // the ambient pool at this runner's width instead of spinning up
+    // a dedicated pool per call.
     return runClientGrid(ops, models, seed, jobs_);
 }
 

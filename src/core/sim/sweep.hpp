@@ -17,8 +17,6 @@
 
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -30,13 +28,14 @@
 namespace nvfs::core {
 
 /**
- * NVFS_PIPELINE=0 disables ingest/replay overlap in pipelined
- * sweeps (they fall back to strict prepare-then-replay per point).
+ * Always false: sweeps no longer overlap one point's prepare with the
+ * previous point's replay.  Kept only so run manifests that record a
+ * "pipeline" switch still have a value to print.
  */
 inline bool
 pipelineEnabled()
 {
-    return util::envInt("NVFS_PIPELINE", 1, 0, 1) != 0;
+    return false;
 }
 
 /** One server-study configuration in a sweep grid. */
@@ -103,18 +102,14 @@ class SweepRunner
     }
 
     /**
-     * Pipelined sweep over a sequence of *points* (typically traces):
-     * `prepare(point)` — ingest + prep, expensive and independent per
-     * point — runs ahead on a worker pool while `replay(prepared)`
-     * runs on the calling thread, strictly in point order.  With
-     * `jobs` workers, up to jobs-1 points are prepared ahead, so the
-     * ingest/prep of point k+1 overlaps the replay of point k.
-     *
-     * Results are identical to the serial prepare-then-replay loop
-     * for any worker count: replay order is fixed, each prepare sees
-     * only its own point, and a prepare that threw rethrows at its
-     * point's position.  `prepare` must not depend on replay state.
-     * Serial fallback: one job, one point, or NVFS_PIPELINE=0.
+     * Sweep over a sequence of *points* (typically traces): for each
+     * point in order, `replay(prepare(point))` on the calling thread.
+     * Both run under the point's TaskLabel ("sweep point k", plus the
+     * point itself when it reads as a string), so an error from
+     * either names the point; the first error ends the sweep, and no
+     * later point is prepared.  The parallelism is inside each step
+     * (mmap ingest, prep and the replay grid fan out on the ambient
+     * pool).  The name is kept because perfbench/runner calls it.
      */
     template <typename P, typename Prepare, typename Replay>
     auto
@@ -124,74 +119,19 @@ class SweepRunner
             Replay &, std::invoke_result_t<Prepare &, const P &>>>
     {
         using Prepared = std::invoke_result_t<Prepare &, const P &>;
-        using R = std::invoke_result_t<Replay &, Prepared>;
-        std::vector<R> results;
+        std::vector<std::invoke_result_t<Replay &, Prepared>> results;
         results.reserve(points.size());
-        // Name the sweep point for TaskError context: the point
-        // itself when it reads as a string (trace paths), the index
-        // otherwise.
-        auto pointContext = [&points](std::size_t k) {
-            std::string context =
-                "sweep point " + std::to_string(k);
+        for (std::size_t k = 0; k < points.size(); ++k) {
+            std::string context = "sweep point " + std::to_string(k);
             if constexpr (std::is_convertible_v<const P &,
                                                 std::string>) {
                 context += " (";
                 context += points[k];
                 context += ")";
             }
-            return context;
-        };
-        if (jobs_ <= 1 || points.size() <= 1 || !pipelineEnabled()) {
-            for (std::size_t k = 0; k < points.size(); ++k) {
-                const util::TaskLabel label(pointContext(k));
-                try {
-                    results.push_back(replay(prepare(points[k])));
-                } catch (...) {
-                    std::rethrow_exception(util::wrapTaskContext(
-                        std::current_exception()));
-                }
-            }
-            return results;
-        }
-
-        const std::size_t depth =
-            std::min<std::size_t>(points.size(), jobs_ - 1);
-        util::ThreadPool pool(static_cast<unsigned>(depth));
-        std::vector<std::future<Prepared>> prepared(points.size());
-        std::size_t submitted = 0;
-        // packaged_task owns each prepare's exception, so the pool's
-        // own error channel stays clean and the throw surfaces from
-        // the future at the point's position in replay order.
-        auto submitPrepare = [&](std::size_t k) {
-            auto task =
-                std::make_shared<std::packaged_task<Prepared()>>(
-                    [&prepare, &points, k, &pointContext] {
-                        // The packaged_task owns the exception (the
-                        // pool never sees it), so the point context
-                        // has to be attached right here.
-                        const util::TaskLabel label(pointContext(k));
-                        try {
-                            return prepare(points[k]);
-                        } catch (...) {
-                            std::rethrow_exception(
-                                util::wrapTaskContext(
-                                    std::current_exception()));
-                        }
-                    });
-            prepared[k] = task->get_future();
-            pool.submit([task] { (*task)(); });
-        };
-        for (; submitted < depth; ++submitted)
-            submitPrepare(submitted);
-        for (std::size_t k = 0; k < points.size(); ++k) {
-            Prepared ready = prepared[k].get();
-            // Refill the lookahead window before replaying, so the
-            // workers are never idle while the caller replays.
-            if (submitted < points.size())
-                submitPrepare(submitted++);
-            const util::TaskLabel label(pointContext(k));
+            const util::TaskLabel label(std::move(context));
             try {
-                results.push_back(replay(std::move(ready)));
+                results.push_back(replay(prepare(points[k])));
             } catch (...) {
                 std::rethrow_exception(
                     util::wrapTaskContext(std::current_exception()));
@@ -201,10 +141,10 @@ class SweepRunner
     }
 
     /**
-     * Pipelined multi-trace client sweep: each trace file is read
-     * (parallel mmap ingest) and converted while the previous
-     * trace's model grid replays.  Returns one Metrics row per
-     * trace, in trace order, each row in model order.
+     * Multi-trace client sweep: each trace file is read (parallel
+     * mmap ingest), converted, and replayed through the model grid
+     * at this runner's width.  Returns one Metrics row per trace, in
+     * trace order, each row in model order.
      */
     std::vector<std::vector<Metrics>>
     runTraceSweep(const std::vector<std::string> &trace_paths,

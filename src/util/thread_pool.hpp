@@ -38,6 +38,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -111,8 +112,8 @@ class TaskLabel
 /**
  * Wrap a captured exception with `context` (default: the calling
  * thread's active TaskLabel).  std::exception payloads become a
- * TaskError("context: what()"); foreign exceptions and empty contexts
- * pass through untouched.
+ * TaskError("context: what()"); foreign exceptions, empty contexts
+ * and TaskErrors already led by `context` pass through untouched.
  */
 inline std::exception_ptr
 wrapTaskContext(std::exception_ptr error, const std::string &context)
@@ -122,8 +123,15 @@ wrapTaskContext(std::exception_ptr error, const std::string &context)
     try {
         std::rethrow_exception(error);
     } catch (const std::exception &e) {
-        return std::make_exception_ptr(
-            TaskError(context + ": " + e.what()));
+        const std::string what = e.what();
+        // Nested boundaries under one label (a parallelFor called
+        // inside a sweep point, rethrown through the point) name it
+        // once, not once per boundary.
+        const std::string prefix = context + ": ";
+        if (dynamic_cast<const TaskError *>(&e) != nullptr &&
+            what.compare(0, prefix.size(), prefix) == 0)
+            return error;
+        return std::make_exception_ptr(TaskError(prefix + what));
     } catch (...) {
         return error;
     }
@@ -252,13 +260,15 @@ class ThreadPool
      * iteration count and grain — never on the worker count — and the
      * calling thread claims chunks alongside the workers, so results
      * (and side effects into disjoint per-chunk slots) are identical
-     * for any pool width.  If chunks throw, every chunk still runs
-     * and the lowest-index chunk's exception is rethrown.
+     * for any pool width.  At most `width` threads run chunks at
+     * once, the caller included (0 = threadCount()); width 1 is the
+     * plain loop on the calling thread.  If chunks throw, every chunk
+     * still runs and the lowest-index chunk's exception is rethrown.
      */
     template <typename Body>
     void
     parallelFor(std::size_t begin, std::size_t end, Body &&body,
-                std::size_t grain = 0)
+                std::size_t grain = 0, unsigned width = 0)
     {
         const std::size_t n = end > begin ? end - begin : 0;
         if (n == 0)
@@ -271,7 +281,9 @@ class ThreadPool
             const std::size_t e = b + grain < end ? b + grain : end;
             body(b, e);
         };
-        if (chunks == 1 || threadCount() <= 1) {
+        if (width == 0)
+            width = threadCount();
+        if (chunks == 1 || width <= 1) {
             // Same chunk structure, executed in order on this thread
             // (every chunk runs even if one throws, matching the
             // parallel path's deterministic error selection).
@@ -316,8 +328,8 @@ class ThreadPool
         // the fork state alive for stragglers that find no chunk
         // left.  The caller drives too, so progress never depends on
         // a helper being scheduled.
-        const std::size_t helpers =
-            chunks - 1 < threadCount() ? chunks - 1 : threadCount();
+        const std::size_t helpers = std::min<std::size_t>(
+            {chunks - 1, width - 1, threadCount()});
         for (std::size_t h = 0; h < helpers; ++h)
             submit(drive);
         drive();

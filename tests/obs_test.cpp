@@ -286,14 +286,13 @@ TEST(Obs, LfsSealCountersMirrorLogStats)
 
 /**
  * The acceptance bar for the observability layer: a parallel sweep
- * (pipelined ingest + wide grid replay) must report the *same*
+ * (parallel ingest + wide grid replay) must report the *same*
  * deterministic counter totals as the serial run of the same work.
  * Scheduling-dependent stats (pool.*) are excluded by design.
  */
 TEST(Obs, SweepCountersExactUnderParallelism)
 {
     const ScopedEnv noCache("NVFS_TRACE_CACHE", nullptr);
-    const ScopedEnv noPipelineOverride("NVFS_PIPELINE", nullptr);
 
     const std::string dir = testing::TempDir() + "nvfs_obs_sweep";
     std::filesystem::remove_all(dir);
@@ -330,8 +329,7 @@ TEST(Obs, SweepCountersExactUnderParallelism)
         "trace_cache.miss",
     };
 
-    auto runAndCollect = [&](unsigned jobs, const char *grid_jobs) {
-        const ScopedEnv gridJobs("NVFS_GRID_JOBS", grid_jobs);
+    auto runAndCollect = [&](unsigned jobs) {
         obs::resetAll();
         const auto results =
             core::SweepRunner(jobs).runTraceSweep(paths, models);
@@ -353,17 +351,14 @@ TEST(Obs, SweepCountersExactUnderParallelism)
         return std::make_pair(results, values);
     };
 
-    const auto [serialResults, serialValues] =
-        runAndCollect(1, "1");
-    const auto [parallelResults, parallelValues] =
-        runAndCollect(8, "8");
+    const auto [serialResults, serialValues] = runAndCollect(1);
+    const auto [parallelResults, parallelValues] = runAndCollect(8);
 
     ASSERT_EQ(serialResults, parallelResults)
         << "sweep results diverged between serial and parallel";
     for (std::size_t i = 0; i < serialValues.size(); ++i) {
         EXPECT_EQ(parallelValues[i], serialValues[i])
-            << "counter #" << i << " diverged under NVFS_JOBS=8 "
-            << "NVFS_GRID_JOBS=8";
+            << "counter #" << i << " diverged at 8 jobs";
     }
     // And the totals must reflect the actual work, not just agree.
     constexpr std::size_t kNamed =
@@ -511,7 +506,6 @@ TEST(TaskError, SweepMapNamesTheTaskIndex)
 
 TEST(TaskError, PipelinedPrepareNamesThePoint)
 {
-    const ScopedEnv noPipelineOverride("NVFS_PIPELINE", nullptr);
     const std::vector<std::string> points{"a.nvt", "b.nvt", "c.nvt"};
     for (const unsigned jobs : {1u, 4u}) {
         try {
@@ -573,6 +567,31 @@ TEST(TaskError, GridReplayNamesTheModel)
         EXPECT_NE(what.find("model rejected config"),
                   std::string::npos)
             << what;
+    }
+}
+
+TEST(TaskError, NestedBoundariesUnderOneLabelNameItOnce)
+{
+    // A replay grid's parallelFor inside a sweep point wraps a cell's
+    // error with the point's label, and the point wraps it again on
+    // the way out: the label must appear once, not once per boundary.
+    const std::vector<std::string> points{"a.nvt"};
+    try {
+        core::SweepRunner(4).runPipelined(
+            points, [](const std::string &point) { return point; },
+            [](const std::string &) {
+                util::ThreadPool::ambient().parallelFor(
+                    0, 8,
+                    [](std::size_t b, std::size_t) {
+                        if (b == 5)
+                            throw std::runtime_error("cell failed");
+                    },
+                    1);
+                return 0;
+            });
+        FAIL() << "runPipelined must rethrow";
+    } catch (const util::TaskError &error) {
+        EXPECT_STREQ(error.what(), "sweep point 0 (a.nvt): cell failed");
     }
 }
 

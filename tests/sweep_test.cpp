@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -16,6 +17,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <thread>
 
 #include "core/sim/sweep.hpp"
 #include "prep/op_cache.hpp"
@@ -190,6 +192,44 @@ TEST(ThreadPool, ParallelForRethrowsLowestChunkException)
             what = error.what();
         }
         EXPECT_EQ(what, "chunk 3") << "at " << jobs << " jobs";
+    }
+}
+
+TEST(ThreadPool, ParallelForRunsAtMostWidthDriversAtOnce)
+{
+    // `width` bounds the threads running chunks at once, the caller
+    // included, whether the caller is a pool worker or not.  Only an
+    // upper bound is asserted: how many threads a run reaches is up
+    // to the scheduler.
+    util::ThreadPool pool(4);
+    std::atomic<int> inFlight{0};
+    std::atomic<int> peak{0};
+    const auto body = [&](std::size_t, std::size_t) {
+        const int now = inFlight.fetch_add(1) + 1;
+        int seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        inFlight.fetch_sub(1);
+    };
+    for (const bool fromWorker : {false, true}) {
+        for (const unsigned width : {0u, 2u}) {
+            peak = 0;
+            const auto run = [&] {
+                pool.parallelFor(0, 64, body, 1, width);
+            };
+            if (fromWorker) {
+                pool.submit(run);
+                pool.wait();
+            } else {
+                run();
+            }
+            EXPECT_GE(peak.load(), 1);
+            EXPECT_LE(peak.load(), width == 0 ? 4 : 2)
+                << "width " << width
+                << (fromWorker ? " from a pool task"
+                               : " from a non-worker thread");
+        }
     }
 }
 
@@ -404,8 +444,7 @@ TEST(SweepRunner, StressManyMoreTasksThanThreads)
 
 TEST(SweepRunner, PipelinedPreservesPointOrderAndResults)
 {
-    // replay runs on the calling thread in strict point order even
-    // though prepares complete out of order on the pool.
+    // replay runs on the calling thread in strict point order.
     std::vector<int> points(9);
     std::iota(points.begin(), points.end(), 0);
     std::vector<int> replay_order;
@@ -452,9 +491,8 @@ TEST(SweepRunner, PipelinedRethrowsPrepareErrorAtItsPoint)
 
 TEST(SweepRunner, TraceSweepPipelinedMatchesSerial)
 {
-    // Full acceptance path: real trace files through the pipelined
-    // multi-trace sweep.  Pipelining on (4 jobs), pipelining disabled
-    // via NVFS_PIPELINE=0, and the plain serial runner must all
+    // Full acceptance path: real trace files through the multi-trace
+    // sweep.  The serial runner and runners 4 and 8 wide must all
     // produce byte-identical metric tables.
     const std::string dir = testing::TempDir() + "nvfs_pipe_sweep";
     std::filesystem::remove_all(dir);
@@ -470,25 +508,23 @@ TEST(SweepRunner, TraceSweepPipelinedMatchesSerial)
     const auto models = standardGrid();
 
     const auto serial = SweepRunner(1).runTraceSweep(paths, models);
-    const auto piped = SweepRunner(4).runTraceSweep(paths, models);
-    ::setenv("NVFS_PIPELINE", "0", 1);
-    const auto strict = SweepRunner(4).runTraceSweep(paths, models);
-    ::unsetenv("NVFS_PIPELINE");
+    const auto four = SweepRunner(4).runTraceSweep(paths, models);
+    const auto eight = SweepRunner(8).runTraceSweep(paths, models);
 
     ASSERT_EQ(serial.size(), paths.size());
-    ASSERT_EQ(piped.size(), paths.size());
-    ASSERT_EQ(strict.size(), paths.size());
+    ASSERT_EQ(four.size(), paths.size());
+    ASSERT_EQ(eight.size(), paths.size());
     for (std::size_t r = 0; r < paths.size(); ++r) {
         ASSERT_EQ(serial[r].size(), models.size());
-        ASSERT_EQ(piped[r].size(), models.size());
-        ASSERT_EQ(strict[r].size(), models.size());
+        ASSERT_EQ(four[r].size(), models.size());
+        ASSERT_EQ(eight[r].size(), models.size());
         for (std::size_t c = 0; c < models.size(); ++c) {
-            EXPECT_EQ(piped[r][c], serial[r][c])
+            EXPECT_EQ(four[r][c], serial[r][c])
                 << "trace " << r << " model " << c
-                << " diverged when pipelined";
-            EXPECT_EQ(strict[r][c], serial[r][c])
+                << " diverged at 4 jobs";
+            EXPECT_EQ(eight[r][c], serial[r][c])
                 << "trace " << r << " model " << c
-                << " diverged with NVFS_PIPELINE=0";
+                << " diverged at 8 jobs";
         }
     }
 }
@@ -528,11 +564,8 @@ TEST(SweepRunner, GridMatchesSerialEveryTraceEngineAndModel)
         for (const ModelConfig &model : models)
             serial.push_back(runClientSim(ops, model));
 
-        ::setenv("NVFS_GRID_JOBS", "1", 1);
-        const auto one = runClientGrid(ops, models);
-        ::setenv("NVFS_GRID_JOBS", "8", 1);
-        const auto eight = runClientGrid(ops, models);
-        ::unsetenv("NVFS_GRID_JOBS");
+        const auto one = SweepRunner(1).runClientSweep(ops, models);
+        const auto eight = SweepRunner(8).runClientSweep(ops, models);
 
         ASSERT_EQ(one.size(), models.size());
         ASSERT_EQ(eight.size(), models.size());
@@ -564,30 +597,13 @@ TEST(SweepRunner, GridExplicitWidthMatchesSerial)
     }
 }
 
-TEST(SweepRunner, GridJobsEnvRejectsMalformedValues)
-{
-    // Satellite: NVFS_GRID_JOBS goes through util::envInt's strict
-    // parsing — zero, negative, and garbage all fall back to the
-    // NVFS_JOBS-derived default (with a warning) instead of being
-    // silently truncated or crashing.
-    const unsigned fallback = util::defaultJobCount();
-    for (const char *bad : {"0", "-3", "abc", "8x", ""}) {
-        ::setenv("NVFS_GRID_JOBS", bad, 1);
-        EXPECT_EQ(gridJobCount(), fallback)
-            << "NVFS_GRID_JOBS=\"" << bad << '"';
-    }
-    ::setenv("NVFS_GRID_JOBS", "6", 1);
-    EXPECT_EQ(gridJobCount(), 6u);
-    ::unsetenv("NVFS_GRID_JOBS");
-    EXPECT_EQ(gridJobCount(), fallback);
-}
-
 TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
 {
-    // Grid + pipeline concurrently (the TSan job runs this at
-    // NVFS_JOBS=8): replay grids of width 8 race the pipeline's
-    // prepare tasks on the shared pool, and the full metric table
-    // must still be byte-identical to the serial runner.
+    // Replay grids of both engines and all three models inside the
+    // multi-trace sweep (the TSan job runs this at NVFS_JOBS=8): grid
+    // cells race each other and the chunked ingest on the shared
+    // pool, and the full metric table must still be byte-identical
+    // to the serial runner.
     const std::string dir = testing::TempDir() + "nvfs_grid_sweep";
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
@@ -601,11 +617,8 @@ TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
     }
     const auto models = gridModels();
 
-    ::setenv("NVFS_GRID_JOBS", "1", 1);
     const auto serial = SweepRunner(1).runTraceSweep(paths, models);
-    ::setenv("NVFS_GRID_JOBS", "8", 1);
-    const auto wide = SweepRunner(4).runTraceSweep(paths, models);
-    ::unsetenv("NVFS_GRID_JOBS");
+    const auto wide = SweepRunner(8).runTraceSweep(paths, models);
 
     ASSERT_EQ(serial.size(), paths.size());
     ASSERT_EQ(wide.size(), paths.size());
@@ -614,7 +627,7 @@ TEST(SweepRunner, GridInsidePipelinedSweepMatchesSerial)
         for (std::size_t c = 0; c < models.size(); ++c)
             EXPECT_EQ(wide[r][c], serial[r][c])
                 << "trace " << r << " model " << c
-                << " diverged under pipelined grid replay";
+                << " diverged under parallel grid replay";
     }
 }
 

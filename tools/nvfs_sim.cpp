@@ -62,7 +62,11 @@ class Args
             if (key.rfind("--", 0) != 0)
                 util::fatal("expected --option, got '" + key + "'");
             key = key.substr(2);
-            if (i + 1 < argc && argv[i + 1][0] != '-') {
+            // A negative number is a value (for the range checks to
+            // reject by flag name), not the next option.
+            if (i + 1 < argc &&
+                (argv[i + 1][0] != '-' ||
+                 util::tryParseDouble(argv[i + 1]).has_value())) {
                 values_[key] = argv[++i];
             } else {
                 values_[key] = "1"; // boolean flag
@@ -79,22 +83,35 @@ class Args
         return it == values_.end() ? fallback : it->second;
     }
 
-    int
-    getInt(const std::string &key, int fallback) const
+    /**
+     * Integer flag in [min, max].  Strict parse: "--jobs 4x" used to
+     * silently become 4 via atoi (and "--jobs x" became 0), and an
+     * unchecked value wrapped in the casts to int and on to unsigned
+     * types ("--ops 4294967297" ran 1 op); both are rejected with the
+     * flag name instead.
+     */
+    std::int64_t
+    getInt(const std::string &key, std::int64_t fallback,
+           std::int64_t min = std::numeric_limits<int>::min(),
+           std::int64_t max = std::numeric_limits<int>::max()) const
     {
         if (!has(key))
             return fallback;
-        // Strict parse: "--jobs 4x" used to silently become 4 via
-        // atoi (and "--jobs x" became 0); reject it with the flag
-        // name instead.
         const auto parsed = util::tryParseInt(get(key));
         if (!parsed.has_value()) {
             util::fatal("--" + key + " expects an integer, got '" +
                         get(key) + "'");
         }
-        return static_cast<int>(*parsed);
+        if (*parsed < min || *parsed > max) {
+            util::fatal("--" + key + " expects an integer in [" +
+                        std::to_string(min) + ", " +
+                        std::to_string(max) + "], got '" + get(key) +
+                        "'");
+        }
+        return *parsed;
     }
 
+    /** Number flag; no number flag of this tool takes a negative. */
     double
     getDouble(const std::string &key, double fallback) const
     {
@@ -103,6 +120,11 @@ class Args
         const auto parsed = util::tryParseDouble(get(key));
         if (!parsed.has_value()) {
             util::fatal("--" + key + " expects a number, got '" +
+                        get(key) + "'");
+        }
+        if (*parsed < 0.0) {
+            util::fatal("--" + key +
+                        " expects a non-negative number, got '" +
                         get(key) + "'");
         }
         return *parsed;
@@ -168,7 +190,7 @@ loadOrGenerate(const Args &args)
                    ? trace::readTraceText(args.get("in"))
                    : trace::readTraceFile(args.get("in"));
     }
-    const int trace_number = args.getInt("trace", 7);
+    const auto trace_number = static_cast<int>(args.getInt("trace", 7));
     const double scale = args.getDouble("scale", 0.25);
     return workload::generateStandardTrace(trace_number, scale,
                                            args.has("compat"));
@@ -404,11 +426,10 @@ cmdSweep(const Args &args)
     }
 
     const core::SweepRunner runner(
-        static_cast<unsigned>(args.getInt("jobs", 0)));
+        static_cast<unsigned>(args.getInt("jobs", 0, 0, 65536)));
 
-    // Comma lists (--trace 3,4,7 or --in a,b,c) run the pipelined
-    // mode: ingest/prep of trace k+1 overlaps the replay of trace k
-    // (NVFS_PIPELINE=0 falls back to strict serial order).
+    // Comma lists (--trace 3,4,7 or --in a,b,c) sweep trace by
+    // trace: ingest, prep, then the model grid, one table per trace.
     const auto point_list = args.has("in")
                                 ? splitList(args.get("in"))
                                 : splitList(args.get("trace", ""));
@@ -438,15 +459,13 @@ cmdSweep(const Args &args)
                 return prep::convertTrace(buffer);
             },
             [&](prep::OpStream ops) {
-                // The point's replay grid fans out over
-                // NVFS_GRID_JOBS tasks, bit-identical to the serial
-                // model loop.
                 const obs::StageTimer stage("sweep.replay");
-                return core::runClientGrid(ops, models);
+                return core::runClientGrid(ops, models, 42,
+                                           runner.jobs());
             });
         for (std::size_t t = 0; t < point_list.size(); ++t) {
             printSweepTable(
-                util::format("pipelined sweep %s, %u jobs, %zu runs",
+                util::format("trace sweep %s, %u jobs, %zu runs",
                              point_list[t].c_str(), runner.jobs(),
                              models.size()),
                 model_names, nvram_sizes, per_trace[t]);
@@ -489,7 +508,7 @@ cmdCrashsweep(const Args &args)
     const auto buffer_names = splitList(args.get("buffers", "0,512K"));
     const double scale = args.getDouble("scale", 0.05);
     const auto seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 42));
+        static_cast<std::uint64_t>(args.getInt("seed", 42, 0));
     const auto point_list = args.has("in")
                                 ? splitList(args.get("in"))
                                 : splitList(args.get("trace", "3,4,7"));
@@ -524,7 +543,7 @@ cmdCrashsweep(const Args &args)
                     util::parseBytes(size_text);
                 config.seed = seed;
                 config.sampleSites = static_cast<std::uint64_t>(
-                    args.getInt("sample", 0));
+                    args.getInt("sample", 0, 0));
                 config.shrinkOnFailure = !args.has("no-shrink");
                 const crash::ExploreResult result =
                     crash::explore(server_ops, config);
@@ -588,19 +607,19 @@ cmdCheck(const Args &args)
 {
     check::FuzzConfig config;
     config.seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 1));
+        static_cast<std::uint64_t>(args.getInt("seed", 1, 0));
     config.opsPerRun = static_cast<std::size_t>(
-        args.getInt("ops", 2000));
+        args.getInt("ops", 2000, 1));
     config.clients = static_cast<std::uint32_t>(
-        args.getInt("clients", 4));
+        args.getInt("clients", 4, 1));
     config.files = static_cast<std::uint32_t>(
-        args.getInt("files", 48));
+        args.getInt("files", 48, 1));
     config.auditEvery = static_cast<std::uint64_t>(
-        args.getInt("audit", 64));
+        args.getInt("audit", 64, 0));
     config.maxSeconds = args.getDouble("max-seconds", 0.0);
     config.shrink = !args.has("no-shrink");
     const auto runs =
-        static_cast<std::size_t>(args.getInt("runs", 20));
+        static_cast<std::size_t>(args.getInt("runs", 20, 1));
 
     const check::FuzzResult result = check::fuzz(config, runs);
     if (result.ok()) {
