@@ -143,14 +143,14 @@ verifyDurability(const CrashSiteRegistry &registry,
         // last successful seal commit exactly: nothing acked-durable
         // is lost, nothing the host never sealed appears.
         const lfs::RecoveryResult strict = lfs::rollForward(log);
-        if (!(strict.inodes == fs.sealedSnapshot)) {
+        const lfs::InodeMap &durable = fs.durableInodes();
+        if (!(strict.inodes == durable)) {
             return util::format(
                 "recovered inode map diverges from the durable state "
                 "at the last seal commit (%zu blocks recovered, %zu "
                 "expected)",
                 static_cast<std::size_t>(strict.inodes.blockCount()),
-                static_cast<std::size_t>(
-                    fs.sealedSnapshot.blockCount()));
+                static_cast<std::size_t>(durable.blockCount()));
         }
 
         // 2. Recovery is idempotent: replaying the same post-crash
@@ -232,6 +232,9 @@ CrashVerdict
 exploreOne(const std::vector<workload::ServerOp> &ops,
            const ExploreConfig &config, std::uint64_t site)
 {
+    static const obs::Timer replayTimer("crash.replay");
+    static const obs::Timer oracleTimer("crash.oracle");
+
     CrashSiteRegistry registry;
     registry.armCrash(site);
     server::FileServer server(config.fsNames, config.server);
@@ -240,7 +243,10 @@ exploreOne(const std::vector<workload::ServerOp> &ops,
         const auto fs = static_cast<FsId>(i);
         registry.track(server.log(fs), server.nvramDevice(fs));
     }
-    server.run(ops, [&registry] { return registry.dead(); });
+    {
+        const obs::StageTimer stage(replayTimer, "crash.replay");
+        server.run(ops, [&registry] { return registry.dead(); });
+    }
 
     CrashVerdict verdict;
     verdict.crashed = registry.crash().has_value();
@@ -254,6 +260,7 @@ exploreOne(const std::vector<workload::ServerOp> &ops,
                       {}};
         return verdict;
     }
+    const obs::StageTimer stage(oracleTimer, "crash.oracle");
     if (const auto what =
             verifyDurability(registry, &verdict.quarantine)) {
         verdict.violation = Violation{site, registry.crash()->kind,
@@ -268,11 +275,13 @@ explore(const std::vector<workload::ServerOp> &ops,
 {
     static const obs::Counter explored("crash.crashes_explored");
     static const obs::Counter violated("crash.oracle_violations");
+    static const obs::Timer censusTimer("crash.census");
 
     ExploreResult result;
 
     // Census: one clean replay counts the schedule space.
     {
+        const obs::StageTimer stage(censusTimer, "crash.census");
         CrashSiteRegistry census;
         server::FileServer server(config.fsNames, config.server);
         server.setCrashHook(&census);

@@ -14,7 +14,10 @@
  *
  *  1. roll-forward recovery reproduces exactly the durable state at
  *     the last successful seal commit (nothing acked-durable lost,
- *     nothing fabricated or resurrected);
+ *     nothing fabricated or resurrected) — the registry tracks it as
+ *     the committed blocks of each file named at a site since that
+ *     commit, since the log changes a file's blocks only right after
+ *     such a site, and freezes it once at the crash;
  *  2. recovery is idempotent: a second roll-forward of the same
  *     post-crash log is identical;
  *  3. quarantining recovery agrees with strict recovery and accounts
@@ -32,6 +35,9 @@
  *
  * A violating schedule is shrunk with the fuzzer's delta-debugging
  * machinery to a minimal reproducing op stream.
+ *
+ * Obs timers split the time: crash.census (one span per explore()),
+ * crash.replay and crash.oracle (one span each per exploreOne()).
  */
 
 #pragma once

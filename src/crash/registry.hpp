@@ -16,13 +16,22 @@
  *    registry reports dead() and answers Dead everywhere, so the
  *    instrumented components treat the host as powered off.
  *
- * While alive, the registry maintains the durability ground truth the
- * oracle needs: a snapshot of each tracked log's inode map taken at
- * every successful seal commit — by construction exactly the state
- * roll-forward recovery must reproduce after a crash.  At the crash
- * instant it captures each log's pending (acked-but-unsealed) blocks
- * and each NVRAM device's staged tags, before any post-crash code can
- * disturb them.
+ * While alive, the registry keeps what the oracle needs to know the
+ * durable inode state — the map as of the last successful seal
+ * commit, which roll-forward recovery must reproduce after a crash —
+ * without copying the whole map at every commit.  It relies on one
+ * invariant of LfsLog: the live inode map changes only in seal(),
+ * deleteFile() and truncate(), and each change comes right after a
+ * crash site that names its file (InodeUpdate or JournalAppend,
+ * detail = the file id).  So the first time a file is named after a
+ * commit, the registry saves that file's blocks, which are still as
+ * of the commit; a commit clears the saved set.  The durable state is
+ * then the live map with each saved file restored.
+ *
+ * At the crash instant the registry freezes, for each tracked log,
+ * that durable state (a torn seal keeps changing the live map after
+ * the crash), the pending (acked-but-unsealed) blocks, and each NVRAM
+ * device's staged tags, before any post-crash code can disturb them.
  */
 
 #pragma once
@@ -30,6 +39,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "lfs/log.hpp"
@@ -53,14 +63,36 @@ class CrashSiteRegistry : public nvram::CrashSiteHook
         const lfs::LfsLog *log = nullptr;
         /** Write-buffer ledger; nullptr when unbuffered. */
         const nvram::NvramDevice *device = nullptr;
-        /** Durable inode state as of the last successful seal commit
-         *  — what recovery must reproduce after a crash. */
-        lfs::InodeMap sealedSnapshot;
         /** The log's pending (acked, unsealed) blocks at the crash
          *  instant; a power failure loses exactly these from disk. */
         std::vector<std::pair<FileId, std::uint32_t>> pendingAtCrash;
         /** The device's staged tags at the crash instant. */
         std::vector<std::uint64_t> stagedAtCrash;
+
+        /**
+         * Durable inode state as of the last successful seal commit:
+         * what roll-forward recovery must reproduce.  After a crash,
+         * the copy frozen at the crash instant; while alive, rebuilt
+         * from the live map on each call.
+         */
+        const lfs::InodeMap &durableInodes() const;
+
+      private:
+        friend class CrashSiteRegistry;
+
+        /** The live map with every saved file restored. */
+        lfs::InodeMap buildDurable() const;
+
+        /** Blocks, as of the last successful seal commit, of every
+         *  file the log has named at a site since that commit.  The
+         *  live map differs from the durable state only in these. */
+        std::unordered_map<FileId,
+                           std::vector<std::pair<std::uint32_t,
+                                                 lfs::SegmentAddress>>>
+            committed_;
+        /** Frozen at the crash; while alive, the latest rebuild. */
+        mutable lfs::InodeMap durable_;
+        bool frozen_ = false;
     };
 
     /** The crash that fired, if any. */
@@ -99,9 +131,12 @@ class CrashSiteRegistry : public nvram::CrashSiteHook
     const std::vector<TrackedFs> &tracked() const { return tracked_; }
 
   private:
-    /** Freeze pending/staged state of every tracked fs at the crash
-     *  instant. */
+    /** Freeze the durable, pending and staged state of every tracked
+     *  fs at the crash instant. */
     void captureAtCrash();
+
+    /** The tracked fs of the log that reached a site. */
+    TrackedFs &trackedLog(const void *origin);
 
     std::vector<TrackedFs> tracked_;
     std::uint64_t sites_ = 0;

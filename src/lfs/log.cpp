@@ -201,6 +201,9 @@ LfsLog::seal(SealCause cause)
                                    bytes, true});
         segment.dataBytes += bytes;
         segment.liveBytes += bytes;
+        // One of the three inode-map change points, each right after
+        // a site naming its file (here InodeUpdate): the crash
+        // registry relies on that to track the durable state.
         if (auto old = inodes_.update(pb.file, pb.block, address))
             killAddress(*old);
     }
@@ -290,6 +293,8 @@ LfsLog::deleteFile(FileId file)
         }
         pending_ = std::move(kept);
     }
+    // Inode-map change point, right after the JournalAppend site
+    // naming `file` (see seal()).
     for (const SegmentAddress &address : inodes_.removeFile(file))
         killAddress(address);
     pendingJournal_.push_back({JournalRecord::Kind::Delete, file, 0});
@@ -329,6 +334,8 @@ LfsLog::truncate(FileId file, Bytes new_size)
             pendingData_ += pending_[i].bytes();
         }
     }
+    // Inode-map change point, right after the JournalAppend site
+    // naming `file` (see seal()).
     for (const SegmentAddress &address :
          inodes_.truncate(file, first_dead)) {
         killAddress(address);

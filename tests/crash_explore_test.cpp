@@ -4,23 +4,31 @@
  * durable transition, per-mode crashes with their loss semantics, the
  * durability oracle (including the two deliberate-corruption tests
  * that prove it is not vacuous), recovery idempotence, quarantining
- * recovery's damage accounting, the NVRAM write-buffer ledger, env
- * knob parsing, and delta-debug shrinking.
+ * recovery's damage accounting, the NVRAM write-buffer ledger, the
+ * registry's durable state against a full-copy reference, the
+ * explorer's timers, env knob parsing, and delta-debug shrinking.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <set>
 
 #include "check/shrink.hpp"
+#include "core/sim/experiments.hpp"
 #include "crash/explore.hpp"
 #include "crash/registry.hpp"
 #include "lfs/log.hpp"
 #include "lfs/recovery.hpp"
 #include "nvram/crash_site.hpp"
 #include "nvram/device.hpp"
+#include "obs/obs.hpp"
+#include "prep/converter.hpp"
 #include "server/file_server.hpp"
+#include "util/rng.hpp"
+#include "workload/generator.hpp"
 
 namespace nvfs::lfs {
 
@@ -145,15 +153,15 @@ TEST(CrashSiteCensus, SnapshotsInodesAtEverySealCommit)
 
     log.writeBlock(1, 0, kBlockSize);
     ASSERT_TRUE(log.seal(lfs::SealCause::Fsync));
-    EXPECT_TRUE(registry.tracked().front().sealedSnapshot ==
+    EXPECT_TRUE(registry.tracked().front().durableInodes() ==
                 log.inodes());
 
     log.writeBlock(1, 1, kBlockSize);
-    // Unsealed: the snapshot still reflects the first commit only.
-    EXPECT_EQ(registry.tracked().front().sealedSnapshot.blockCount(),
+    // Unsealed: the durable state still reflects the first commit only.
+    EXPECT_EQ(registry.tracked().front().durableInodes().blockCount(),
               1u);
     ASSERT_TRUE(log.seal(lfs::SealCause::Fsync));
-    EXPECT_EQ(registry.tracked().front().sealedSnapshot.blockCount(),
+    EXPECT_EQ(registry.tracked().front().durableInodes().blockCount(),
               2u);
 }
 
@@ -422,6 +430,178 @@ TEST(ServerNvramLedger, ReconcilesStagedTagsAfterSeals)
     EXPECT_TRUE(device->tags().empty());
 }
 
+// -------------------------------- durable state vs full-copy reference
+
+/**
+ * The declared reference for the registry's durable inode state: a
+ * full copy of the origin log's inode map at every successful seal
+ * commit.  Forwards every site to the registry under test, so both see
+ * the same run and the same crash.
+ */
+class FullCopyReference : public nvram::CrashSiteHook
+{
+  public:
+    explicit FullCopyReference(CrashSiteRegistry &registry)
+        : registry_(registry)
+    {
+    }
+
+    CrashAction
+    onSite(CrashSiteKind kind, std::uint64_t detail,
+           const void *origin) override
+    {
+        const CrashAction action =
+            registry_.onSite(kind, detail, origin);
+        if (kind == CrashSiteKind::SealCommit &&
+            action == CrashAction::None) {
+            committed_[origin] =
+                static_cast<const lfs::LfsLog *>(origin)->inodes();
+        }
+        return action;
+    }
+
+    bool dead() const override { return registry_.dead(); }
+
+    /** `log`'s inode map at its last successful seal commit. */
+    lfs::InodeMap
+    committed(const lfs::LfsLog &log) const
+    {
+        const auto it = committed_.find(&log);
+        return it == committed_.end() ? lfs::InodeMap{} : it->second;
+    }
+
+  private:
+    CrashSiteRegistry &registry_;
+    std::map<const void *, lfs::InodeMap> committed_;
+};
+
+/** At a fired crash, every tracked log's durable state must equal
+ *  the reference's. */
+void
+expectDurableMatches(const CrashSiteRegistry &registry,
+                     const FullCopyReference &reference,
+                     std::uint64_t site)
+{
+    ASSERT_TRUE(registry.crash().has_value()) << "site " << site;
+    for (const CrashSiteRegistry::TrackedFs &fs : registry.tracked()) {
+        EXPECT_TRUE(fs.durableInodes() == reference.committed(*fs.log))
+            << "site " << site << " ("
+            << nvram::crashSiteKindName(registry.crash()->kind) << ")";
+    }
+}
+
+/** Sites `ops` reaches on a clean run. */
+std::uint64_t
+censusSites(const std::vector<ServerOp> &ops,
+            const server::ServerConfig &config)
+{
+    CrashSiteRegistry census;
+    server::FileServer server({"/fs"}, config);
+    server.setCrashHook(&census);
+    census.track(server.log(0), server.nvramDevice(0));
+    server.run(ops);
+    return census.sitesSeen();
+}
+
+/** Crash `ops` at `site` behind the reference and compare. */
+void
+expectServerMatchesReference(const std::vector<ServerOp> &ops,
+                             const server::ServerConfig &config,
+                             std::uint64_t site)
+{
+    CrashSiteRegistry registry;
+    registry.armCrash(site);
+    FullCopyReference reference(registry);
+    server::FileServer server({"/fs"}, config);
+    server.setCrashHook(&reference);
+    registry.track(server.log(0), server.nvramDevice(0));
+    server.run(ops, [&registry] { return registry.dead(); });
+    expectDurableMatches(registry, reference, site);
+}
+
+/** Unbuffered and 512K-buffered servers. */
+std::vector<server::ServerConfig>
+bufferConfigs(Bytes segment_bytes)
+{
+    std::vector<server::ServerConfig> configs(2);
+    configs[1].nvramBufferBytes = 512 * kKiB;
+    for (server::ServerConfig &config : configs)
+        config.lfs.segmentBytes = segment_bytes;
+    return configs;
+}
+
+TEST(DurableState, MatchesFullCopyAtEverySiteOfSmallWorkload)
+{
+    const auto ops = smallWorkload();
+    for (const server::ServerConfig &config : bufferConfigs(64 * kKiB)) {
+        const std::uint64_t total = censusSites(ops, config);
+        ASSERT_GT(total, 0u);
+        for (std::uint64_t site = 1; site <= total; ++site)
+            expectServerMatchesReference(ops, config, site);
+    }
+}
+
+TEST(DurableState, MatchesFullCopyAtSampledSitesOfTraceThree)
+{
+    core::ModelConfig model;
+    model.kind = core::ModelKind::Unified;
+    const auto ops = core::collectServerOps(
+        prep::convertTrace(workload::generateStandardTrace(3, 0.01)),
+        model);
+    const server::ServerConfig defaults;
+    for (const server::ServerConfig &config :
+         bufferConfigs(defaults.lfs.segmentBytes)) {
+        const std::uint64_t total = censusSites(ops, config);
+        ASSERT_GT(total, 200u);
+        util::Rng rng(7);
+        std::set<std::uint64_t> sites;
+        while (sites.size() < 200)
+            sites.insert(rng.uniformInt(1, total));
+        for (const std::uint64_t site : sites)
+            expectServerMatchesReference(ops, config, site);
+    }
+}
+
+TEST(DurableState, MatchesFullCopyAtEverySiteOfDeletesAndTruncates)
+{
+    // The file server never deletes or truncates, so drive the log
+    // directly: each change below hits blocks an earlier seal
+    // committed, between two commits.
+    const auto script = [](lfs::LfsLog &log) {
+        for (std::uint32_t block = 0; block < 4; ++block) {
+            log.writeBlock(1, block, kBlockSize);
+            log.writeBlock(2, block, kBlockSize);
+        }
+        log.seal(lfs::SealCause::Fsync);
+        log.deleteFile(1);
+        log.truncate(2, kBlockSize);
+        log.writeBlock(3, 0, kBlockSize);
+        log.seal(lfs::SealCause::Fsync);
+        log.writeBlock(2, 5, kBlockSize);
+        log.truncate(2, 0);
+        log.deleteFile(3);
+        log.takeCheckpoint();
+    };
+
+    CrashSiteRegistry census;
+    lfs::LfsLog clean(smallConfig());
+    clean.setCrashHook(&census);
+    census.track(clean, nullptr);
+    script(clean);
+    ASSERT_GT(census.sitesSeen(), 0u);
+
+    for (std::uint64_t site = 1; site <= census.sitesSeen(); ++site) {
+        CrashSiteRegistry registry;
+        registry.armCrash(site);
+        FullCopyReference reference(registry);
+        lfs::LfsLog log(smallConfig());
+        log.setCrashHook(&reference);
+        registry.track(log, nullptr);
+        script(log);
+        expectDurableMatches(registry, reference, site);
+    }
+}
+
 // ----------------------------------------------- end-to-end explore
 
 TEST(Explore, BufferedServerSurvivesEveryCrashSite)
@@ -452,6 +632,32 @@ TEST(Explore, UnbufferedServerSurvivesEveryCrashSite)
     EXPECT_TRUE(result.violations.empty())
         << result.violations.front().what;
 }
+
+#ifndef NVFS_NO_STATS
+TEST(Explore, TimesOneCensusAndOneReplayAndOracleSpanPerCrash)
+{
+    const auto countOfTimer = [](const char *name) -> std::uint64_t {
+        const obs::Snapshot snap = obs::snapshot();
+        const obs::StatValue *entry = snap.find(name);
+        return entry == nullptr ? 0 : entry->count;
+    };
+    const std::uint64_t census = countOfTimer("crash.census");
+    const std::uint64_t replay = countOfTimer("crash.replay");
+    const std::uint64_t oracle = countOfTimer("crash.oracle");
+
+    crash::ExploreConfig config;
+    config.server.lfs.segmentBytes = 64 * kKiB;
+    config.shrinkOnFailure = false;
+    const auto result = crash::explore(smallWorkload(), config);
+    ASSERT_GT(result.crashesExplored, 0u);
+
+    EXPECT_EQ(countOfTimer("crash.census") - census, 1u);
+    EXPECT_EQ(countOfTimer("crash.replay") - replay,
+              result.crashesExplored);
+    EXPECT_EQ(countOfTimer("crash.oracle") - oracle,
+              result.crashesExplored);
+}
+#endif // NVFS_NO_STATS
 
 TEST(Explore, UnreachedArmedSiteIsAViolation)
 {

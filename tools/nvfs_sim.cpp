@@ -130,6 +130,19 @@ class Args
         return *parsed;
     }
 
+    /** Number flag above zero (--scale: a zero-scale trace is
+     *  empty, and the generator requires a positive scale). */
+    double
+    getPositive(const std::string &key, double fallback) const
+    {
+        const double value = getDouble(key, fallback);
+        if (value <= 0.0) {
+            util::fatal("--" + key + " expects a positive number, got '" +
+                        get(key) + "'");
+        }
+        return value;
+    }
+
     Bytes
     getBytes(const std::string &key, Bytes fallback) const
     {
@@ -191,7 +204,7 @@ loadOrGenerate(const Args &args)
                    : trace::readTraceFile(args.get("in"));
     }
     const auto trace_number = static_cast<int>(args.getInt("trace", 7));
-    const double scale = args.getDouble("scale", 0.25);
+    const double scale = args.getPositive("scale", 0.25);
     return workload::generateStandardTrace(trace_number, scale,
                                            args.has("compat"));
 }
@@ -337,7 +350,7 @@ int
 cmdServer(const Args &args)
 {
     const double hours = args.getDouble("hours", 24.0);
-    const double scale = args.getDouble("scale", 1.0);
+    const double scale = args.getPositive("scale", 1.0);
     const Bytes buffer = args.getBytes("buffer", 0);
     const auto result = core::runServerSim(
         static_cast<TimeUs>(hours * kUsPerHour), scale, buffer);
@@ -434,7 +447,7 @@ cmdSweep(const Args &args)
                                 ? splitList(args.get("in"))
                                 : splitList(args.get("trace", ""));
     if (point_list.size() > 1) {
-        const double scale = args.getDouble("scale", 0.25);
+        const double scale = args.getPositive("scale", 0.25);
         const bool from_files = args.has("in");
         const bool text = args.has("text");
         const bool compat = args.has("compat");
@@ -506,7 +519,7 @@ cmdCrashsweep(const Args &args)
     const auto model_names =
         splitList(args.get("models", "volatile,write-aside,unified"));
     const auto buffer_names = splitList(args.get("buffers", "0,512K"));
-    const double scale = args.getDouble("scale", 0.05);
+    const double scale = args.getPositive("scale", 0.05);
     const auto seed =
         static_cast<std::uint64_t>(args.getInt("seed", 42, 0));
     const auto point_list = args.has("in")
